@@ -18,7 +18,7 @@ Two independent routes to the Hessian are kept on purpose:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .linalg import det_int
 from .polytope import LatticePolytope
@@ -269,7 +269,8 @@ def mixed_hessian(fs, k):
     if any(len(s) < ki for s, ki in zip(supports, k)):
         return zero(d + r)
     terms = {}
-    for choice in _subset_tuples(supports, k):
+    pools = [list(combinations(s, ki)) for s, ki in zip(supports, k)]
+    for choice in product(*pools):
         weight = nu(choice)
         if weight == 0:
             continue
@@ -282,18 +283,6 @@ def mixed_hessian(fs, k):
         exp = total + k
         terms[exp] = terms.get(exp, Fraction(0)) + coef
     return LaurentPolynomial(d + r, terms)
-
-
-def _subset_tuples(supports, k):
-    pools = [list(combinations(s, ki)) for s, ki in zip(supports, k)]
-    def rec(i):
-        if i == len(pools):
-            yield ()
-            return
-        for head in pools[i]:
-            for tail in rec(i + 1):
-                yield (head,) + tail
-    return rec(0)
 
 
 def multidegree_component(f, k, r):

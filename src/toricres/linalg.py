@@ -9,22 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
-
-def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" (optional sign, lowest terms not required)."""
-    return Fraction(s.strip())
-
-
-def rational_to_string(x) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 class NotUnique:
     """Sentinel value: the requested functional is not uniquely determined.
 

@@ -107,14 +107,6 @@ class LatticePolytope:
         x = tuple(x)
         return all(dot(n, x) > -c for n, c in self.facets)
 
-    def dilate(self, m):
-        m = int(m)
-        if m < 0:
-            raise ValueError("dilation factor must be >= 0")
-        if m == 0:
-            return LatticePolytope([(0,) * self.ambient_dim])
-        return LatticePolytope([tuple(m * x for x in v) for v in self.vertices])
-
     def affine_lattice_image(self):
         """The same polytope rewritten in coordinates of its affine hull.
 
@@ -270,22 +262,28 @@ def _norm_volume(poly):
     return total
 
 
+def _box(vertices):
+    """Coordinatewise (min, max) corners of the bounding box of vertices."""
+    cols = list(zip(*vertices))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _box_scan(lo, hi, keep):
+    """Lattice points of the box [lo, hi] that pass keep, lexicographic."""
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return [p for p in product(*ranges) if keep(p)]
+
+
 def lattice_points(poly):
     """All lattice points of the polytope, in lexicographic order."""
-    lo = [min(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    hi = [max(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return [p for p in product(*ranges) if poly.contains(p)]
+    return _box_scan(*_box(poly.vertices), poly.contains)
 
 
 def interior_lattice_points(poly):
     """Lattice points strictly inside a full-dimensional polytope."""
     if not poly.is_full_dim:
         raise ValueError("interior requires a full-dimensional polytope")
-    lo = [min(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    hi = [max(v[i] for v in poly.vertices) for i in range(poly.ambient_dim)]
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return [p for p in product(*ranges) if poly.strictly_contains(p)]
+    return _box_scan(*_box(poly.vertices), poly.strictly_contains)
 
 
 def minkowski_sum(p, q):
@@ -466,6 +464,23 @@ def check_nef_partition(parts, dim=None):
         raise NefPartitionError("a part claims no dual vertex")
     return NefPartition(d, tuple(cleaned), polytopes, delta, dual_verts,
                         vertex_partition)
+
+
+def nef_piece_points(nef, k):
+    """Lattice points of k_1*Delta_1 + ... + k_r*Delta_r, lexicographic.
+
+    k holds one nonnegative integer per part.  The normal fan of Delta
+    refines that of every such sum, so the sum is cut out by the facet
+    normals e of Delta alone, with offsets read off the vertex partition:
+    {x : <x, e> >= -k_i for every e assigned to part i}.  The scanned box
+    is the sum of the parts' bounding boxes scaled by k.
+    """
+    boxes = [_box(poly.vertices) for poly in nef.polytopes]
+    lo = [sum(m * b[0][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
+    hi = [sum(m * b[1][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
+    cuts = [(e, -m) for block, m in zip(nef.vertex_partition, k)
+            for e in block]
+    return _box_scan(lo, hi, lambda x: all(dot(e, x) >= c for e, c in cuts))
 
 
 class DualNefPartition:

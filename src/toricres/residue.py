@@ -8,9 +8,12 @@ over Q; non-regularity is reported as a value, never as a crash.
 
 Graded pieces are indexed by the trailing block of exponents: the piece at
 multidegree k has monomial basis the lattice points of k_1*D_1 + ... +
-k_r*D_r, embedded at height k.  Interior pieces (all k_i >= 1) are obtained
-by the reflexive shift k -> k - (1,...,1) and cross-checked against strict
-cone-interior inequalities.
+k_r*D_r, embedded at height k.  That sum is read straight off the nef
+partition as {x : <x, e> >= -k_owner(e)} over the dual vertices e of
+D = D_1 + ... + D_r, because the normal fan of D refines the normal fan of
+every such sum.  Interior pieces (all k_i >= 1) are the same sets at the
+reflexive shift k -> k - (1,...,1), cross-checked against the strict
+inequalities of the cone over the Cayley polytope.
 """
 
 from __future__ import annotations
@@ -28,13 +31,17 @@ from .laurent import (
     positive_compositions,
 )
 from .linalg import NOT_UNIQUE, dot, solve_functional
-from .polytope import cayley_polytope, lattice_points, minkowski_sum_all
+from .polytope import cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
 
 
 def _max_basis():
-    return int(os.environ.get("TORIC_MAX_BASIS", DEFAULT_MAX_BASIS))
+    raw = os.environ.get("TORIC_MAX_BASIS", str(DEFAULT_MAX_BASIS))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(
+            f"TORIC_MAX_BASIS must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 class GradedPieceBasis:
@@ -52,7 +59,10 @@ class GradedPieceBasis:
                             else tuple(int(x) for x in multidegree))
         self.monomials = tuple(sorted(tuple(int(x) for x in m)
                                       for m in monomials))
-        assert len(set(self.monomials)) == len(self.monomials)
+        if len(set(self.monomials)) != len(self.monomials):
+            raise AssertionError(
+                f"graded piece at multidegree {self.multidegree} lists a "
+                "monomial twice")
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
     def __len__(self):
@@ -83,8 +93,7 @@ def _guard_size(n):
 def graded_basis(nef, k):
     """Monomial basis of the full graded piece at multidegree k."""
     k = _check_multidegree(nef, k)
-    summands = [poly.dilate(m) for poly, m in zip(nef.polytopes, k)]
-    pts = lattice_points(minkowski_sum_all(summands))
+    pts = nef_piece_points(nef, k)
     _guard_size(len(pts))
     return GradedPieceBasis(k, [p + k for p in pts])
 
@@ -92,28 +101,35 @@ def graded_basis(nef, k):
 def interior_basis(nef, k, _cayley=None):
     """Basis of the interior piece at multidegree k (every k_i >= 1).
 
-    Built by the reflexive shift k -> k - (1,...,1) and cross-checked, point
-    by point, against the strict facet inequalities of the cone over the
-    Cayley polytope; for desk-scale pieces the strict-inequality route is
-    also run in full and must agree.
+    The piece is the full piece at k - (1,...,1), lifted to height k:
+    {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  Two checks
+    against the cone over the Cayley polytope, whose facets come from its
+    own hull and not from the vertex partition: every monomial is strictly
+    inside the cone, and the strict points of the full piece at k are
+    exactly these monomials.
     """
     k = _check_multidegree(nef, k)
     if any(x < 1 for x in k):
         raise ValueError("interior piece needs every k_i >= 1")
-    shifted = [poly.dilate(m - 1) for poly, m in zip(nef.polytopes, k)]
-    pts = lattice_points(minkowski_sum_all(shifted))
+    pts = nef_piece_points(nef, [m - 1 for m in k])
     _guard_size(len(pts))
     mons = [p + k for p in pts]
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
     level = sum(k)
-    # strict cone interiority of every shifted monomial
+
+    def strict(m):
+        return all(dot(n, m) + c * level > 0 for n, c in cay.facets)
+
     for m in mons:
-        assert all(dot(n, m) + c * level > 0 for n, c in cay.facets)
-    # and the converse on the full piece: no strict point is missed
+        if not strict(m):
+            raise AssertionError(
+                f"interior piece at multidegree {k}: monomial {m} is not "
+                "strictly inside the Cayley cone")
     full = graded_basis(nef, k)
-    strict = [m for m in full.monomials
-              if all(dot(n, m) + c * level > 0 for n, c in cay.facets)]
-    assert sorted(mons) == strict
+    if [m for m in full.monomials if strict(m)] != mons:
+        raise AssertionError(
+            f"interior piece at multidegree {k}: the strict points of the "
+            "full piece differ from the shifted piece k - (1,...,1)")
     return GradedPieceBasis(k, mons)
 
 

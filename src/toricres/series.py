@@ -117,14 +117,6 @@ class TruncatedSeries:
         return sorted(self.coeffs.items())
 
 
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
 class RationalFunctionSpec:
     """numerator / prod(factor^multiplicity), all exponent maps.
 

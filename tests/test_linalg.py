@@ -15,8 +15,6 @@ from toricres.linalg import (
     primitive,
     quotient_by_vector,
     rank,
-    rational_from_string,
-    rational_to_string,
     solve_functional,
     solve_linear,
 )
@@ -35,15 +33,6 @@ def cofactor_det(m):
         sign = -1 if j % 2 else 1
         total += sign * Fraction(m[0][j]) * cofactor_det(minor)
     return total
-
-
-def test_rational_strings():
-    assert rational_to_string(Fraction(3, 1)) == "3"
-    assert rational_to_string(Fraction(-4, 6)) == "-2/3"
-    assert rational_from_string("105/101") == Fraction(105, 101)
-    assert rational_from_string("-7") == Fraction(-7)
-    x = rational_from_string("6/4")
-    assert (x.numerator, x.denominator) == (3, 2)  # lowest terms, q > 0
 
 
 def test_det_identity_and_small():

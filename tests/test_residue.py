@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from toricres.cli import main
 from toricres.laurent import (
     LaurentPolynomial,
     cayley_polynomial,
@@ -11,7 +15,13 @@ from toricres.laurent import (
     log_derivative,
     monomial,
 )
-from toricres.polytope import check_nef_partition, lattice_points
+from toricres.mirror import WpsFamily, wps_nef_partition
+from toricres.polytope import (
+    LatticePolytope,
+    check_nef_partition,
+    lattice_points,
+    minkowski_sum_all,
+)
 from toricres.residue import (
     GradedPieceBasis,
     check_mixed_volume_identity,
@@ -26,6 +36,7 @@ from toricres.residue import (
 )
 
 A = [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def line_family():
@@ -36,6 +47,13 @@ def line_family():
 def pentagon_family():
     # d=2, r=2 split of the reflexive pentagon
     return check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]])
+
+
+# dim-5 partition of P4 x P1 type
+P4XP1_PARTS = [
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)],
+    [(-1, -1, -1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, -1)],
+]
 
 
 def test_graded_basis_zero_degree():
@@ -58,17 +76,24 @@ def test_graded_basis_pentagon_piece():
 
 
 def test_graded_basis_direct_sum_bookkeeping():
-    from toricres.polytope import minkowski_sum_all
-
+    # differential test: each piece, read off the nef partition, against a
+    # box-scan of the hull of its own Minkowski sum of scaled parts
+    families = [
+        (pentagon_family(), 4),
+        (wps_nef_partition(WpsFamily((1,) * 5, ((0, 1, 2, 3, 4),)))[0], 4),
+        (wps_nef_partition(WpsFamily((1,) * 4, ((0, 1), (2, 3))))[0], 4),
+        (check_nef_partition(P4XP1_PARTS), 2),
+    ]
+    for nef, top in families:
+        for level in range(top + 1):
+            for k in compositions(level, nef.r):
+                scaled = [LatticePolytope([tuple(m * x for x in v)
+                                           for v in poly.vertices])
+                          for poly, m in zip(nef.polytopes, k)]
+                hull_route = lattice_points(minkowski_sum_all(scaled))
+                assert graded_basis(nef, k).monomials == tuple(
+                    p + k for p in hull_route), (nef, k)
     nef = pentagon_family()
-    d1, d2 = nef.polytopes
-    for level in (1, 2, 3):
-        pieces = {k: len(graded_basis(nef, k))
-                  for k in compositions(level, nef.r)}
-        # each piece against a direct box-scan of its own Minkowski sum
-        for (k1, k2), size in pieces.items():
-            sum_poly = minkowski_sum_all([d1.dilate(k1), d2.dilate(k2)])
-            assert size == len(lattice_points(sum_poly))
     assert sum(len(graded_basis(nef, k))
                for k in compositions(1, 2)) == 2 + 3
     assert sum(len(graded_basis(nef, k))
@@ -112,6 +137,55 @@ def test_basis_guard(monkeypatch):
         graded_basis(nef, (2, 2))
     monkeypatch.setenv("TORIC_MAX_BASIS", "100")
     assert len(graded_basis(nef, (2, 2))) > 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-5"])
+def test_basis_guard_rejects_bad_limit(monkeypatch, raw):
+    nef = pentagon_family()
+    monkeypatch.setenv("TORIC_MAX_BASIS", raw)
+    with pytest.raises(ValueError, match="TORIC_MAX_BASIS must be a positive"):
+        graded_basis(nef, (1, 1))
+
+
+def test_bad_basis_limit_is_a_cli_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("TORIC_MAX_BASIS", "-5")
+    code = main(["residue", "functional",
+                 "--nefpart", os.path.join(FIX, "p2split.json"),
+                 "--coeffs", os.path.join(FIX, "a.json")])
+    assert code == 1
+    assert "TORIC_MAX_BASIS" in capsys.readouterr().err
+
+
+# Breaks interior_basis's Cayley cone by shifting every facet offset; the
+# bare assert proves the interpreter runs with asserts stripped.
+BROKEN_CONE = """
+import sys
+from types import SimpleNamespace
+from toricres.polytope import cayley_polytope, check_nef_partition
+from toricres.residue import interior_basis
+assert False
+nef = check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]])
+shift = int(sys.argv[1])
+cay = SimpleNamespace(facets=[(n, c + shift) for n, c
+                              in cayley_polytope(nef.polytopes).facets])
+interior_basis(nef, (2, 2), _cayley=cay)
+"""
+
+
+@pytest.mark.parametrize("shift, identity", [
+    (-1, "is not strictly inside the Cayley cone"),
+    (1, "the strict points of the full piece differ"),
+])
+def test_interior_checks_survive_optimize(shift, identity):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CONE, str(shift)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode != 0
+    assert "AssertionError: interior piece at multidegree (2, 2)" in proc.stderr
+    assert identity in proc.stderr
 
 
 def test_system_from_coefficients_layout():
