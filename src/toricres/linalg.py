@@ -2,6 +2,12 @@
 
 Vectors are tuples, matrices are sequences of rows.  Entries are Python ints
 or fractions.Fraction; every result is exact.  No floating point anywhere.
+
+rank, nullspace, solve_linear and solve_functional share one sparse
+eliminator: {column: Fraction} rows, each reduced by the stored rows and
+stored scaled to 1 at its lowest column, its pivot.  Any echelon basis has
+the pivot columns of the reduced form, so back-substitution in descending
+pivot order gives the same kernel vectors and solutions.
 """
 
 from __future__ import annotations
@@ -92,82 +98,90 @@ def det_int(matrix) -> int:
     return _det_int(rows)
 
 
-def rref(matrix, ncols=None):
-    """Reduced row echelon form over Fraction.
+def _sparse_row(row, ncols):
+    """The nonzero entries of a dict or dense row, as {column: Fraction}."""
+    if isinstance(row, dict):
+        fits, items = all(0 <= c < ncols for c in row), row.items()
+    else:
+        fits, items = len(row) == ncols, enumerate(row)
+    if not fits:
+        raise ValueError(f"row does not fit {ncols} columns")
+    return {c: Fraction(x) for c, x in items if x}
 
-    Returns (rows, pivot_columns); input rows are not modified.
+
+def _echelon(rows):
+    """Echelon basis {pivot: row} of sparse rows, left unmodified.
+
+    A stored row's pivot is its lowest column, where the row is 1.
     """
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("rref: ragged matrix")
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            x = row[c]
+            if c not in pivots:
+                pivots[c] = {j: y / x for j, y in row.items()}
+                break
+            for j, y in pivots[c].items():
+                v = row.get(j, 0) - x * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return pivots
+
+
+def _kernel_vector(pivots, free, n):
+    """Kernel vector, 1 at free and 0 at the other non-pivot columns."""
+    v = [Fraction(0)] * n
+    v[free] = Fraction(1)
+    for p in sorted((p for p in pivots if p < free), reverse=True):
+        v[p] = -sum(x * v[j] for j, x in pivots[p].items())
+    return tuple(v)
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    rows = list(matrix)
+    ncols = len(rows[0]) if rows else 0
+    return len(_echelon(_sparse_row(r, ncols) for r in rows))
 
 
 def nullspace(matrix, ncols):
     """Basis of {x : M x = 0} as tuples of Fractions (deterministic order)."""
-    rows, pivots = rref(matrix, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    pivots = _echelon(_sparse_row(r, ncols) for r in matrix)
+    return [_kernel_vector(pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivots]
 
 
 def solve_functional(span, target, normalization):
     """The unique functional vanishing on span and hitting a normalization.
 
     Finds lam with lam . v = 0 for every v in span and lam . target =
-    normalization.  Returns NOT_UNIQUE when the annihilator of the span is
-    not one-dimensional, or when no scaling of it meets the normalization
-    (including normalization 0, which never pins the scale).
+    normalization.  Span rows are {column: value} dicts or dense rows over
+    the columns of target.  Returns NOT_UNIQUE when the annihilator of the
+    span is not one-dimensional, or when no scaling of it meets the
+    normalization (including normalization 0, which never pins the scale).
+    A result that breaks either condition raises AssertionError.
     """
     target = tuple(Fraction(x) for x in target)
     n = len(target)
-    span = [tuple(Fraction(x) for x in v) for v in span]
-    if any(len(v) != n for v in span):
-        raise ValueError("solve_functional: span/target length mismatch")
+    span = [_sparse_row(v, n) for v in span]
     normalization = Fraction(normalization)
-    ann = nullspace(span, n)
-    if len(ann) != 1:
+    pivots = _echelon(span)
+    if n - len(pivots) != 1:
         return NOT_UNIQUE
-    lam0 = ann[0]
+    free = next(c for c in range(n) if c not in pivots)
+    lam0 = _kernel_vector(pivots, free, n)
     t = dot(lam0, target)
     if t == 0 or normalization == 0:
         return NOT_UNIQUE
-    c = normalization / t
-    lam = tuple(c * x for x in lam0)
-    # post: the defining conditions hold exactly
-    assert all(dot(lam, v) == 0 for v in span)
-    assert dot(lam, target) == normalization
+    lam = tuple(normalization / t * x for x in lam0)
+    # post: the defining conditions hold exactly, checked on the sparse rows
+    if any(sum(x * lam[j] for j, x in v.items()) for v in span):
+        raise AssertionError("solve_functional: lam . span != 0")
+    if dot(lam, target) != normalization:
+        raise AssertionError("solve_functional: lam . target != normalization")
     return lam
 
 
@@ -177,15 +191,13 @@ def solve_linear(matrix, rhs):
     if len(rows) != len(rhs):
         raise ValueError("solve_linear: shape mismatch")
     ncols = len(matrix[0]) if matrix else 0
-    red, pivots = rref(rows, ncols + 1)
+    pivots = _echelon(_sparse_row(r, ncols + 1) for r in rows)
     if ncols in pivots:
         return None  # inconsistent
     if len(pivots) != ncols:
         return None  # underdetermined
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
+    # the kernel of (M | rhs) is spanned by (-x, 1)
+    return tuple(-y for y in _kernel_vector(pivots, ncols, ncols + 1)[:-1])
 
 
 def primitive(vec):
@@ -265,7 +277,8 @@ def integer_kernel_basis(rows, n):
         if nz:
             active.remove(nz[0])
     basis = [tuple(ucols[j]) for j in active]
-    assert all(all(dot(row, b) == 0 for b in basis) for row in rows)
+    if any(dot(row, b) for row in rows for b in basis):
+        raise AssertionError("integer_kernel_basis: rows . basis != 0")
     return basis
 
 
@@ -294,7 +307,9 @@ def quotient_by_vector(w):
     if v[last] == -1:
         u[last] = [-x for x in u[last]]
         v[last] = 1
-    assert v[last] == 1 and all(x == 0 for x in v[:last])
+    if v[last] != 1 or any(v[:last]):
+        raise AssertionError("quotient_by_vector: U . w != (0, ..., 0, 1)")
     rows = [tuple(r) for r in u[:last]]
-    assert all(dot(r, w) == 0 for r in rows)
+    if any(dot(r, w) for r in rows):
+        raise AssertionError("quotient_by_vector: rows . w != 0")
     return rows

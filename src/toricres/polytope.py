@@ -23,7 +23,6 @@ from itertools import combinations, product
 
 from .linalg import (
     cofactor_nullvector,
-    det,
     dot,
     integer_kernel_basis,
     nullspace,
@@ -269,21 +268,21 @@ def _box(vertices):
 
 
 def _box_scan(lo, hi, keep):
-    """Lattice points of the box [lo, hi] that pass keep, lexicographic."""
+    """Lazy lattice points of the box [lo, hi] passing keep, lexicographic."""
     ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return [p for p in product(*ranges) if keep(p)]
+    return filter(keep, product(*ranges))
 
 
 def lattice_points(poly):
     """All lattice points of the polytope, in lexicographic order."""
-    return _box_scan(*_box(poly.vertices), poly.contains)
+    return list(_box_scan(*_box(poly.vertices), poly.contains))
 
 
 def interior_lattice_points(poly):
     """Lattice points strictly inside a full-dimensional polytope."""
     if not poly.is_full_dim:
         raise ValueError("interior requires a full-dimensional polytope")
-    return _box_scan(*_box(poly.vertices), poly.strictly_contains)
+    return list(_box_scan(*_box(poly.vertices), poly.strictly_contains))
 
 
 def minkowski_sum(p, q):
@@ -473,7 +472,8 @@ def nef_piece_points(nef, k):
     refines that of every such sum, so the sum is cut out by the facet
     normals e of Delta alone, with offsets read off the vertex partition:
     {x : <x, e> >= -k_i for every e assigned to part i}.  The scanned box
-    is the sum of the parts' bounding boxes scaled by k.
+    is the sum of the parts' bounding boxes scaled by k.  Returns an
+    iterator, so a caller with a size limit can stop the scan early.
     """
     boxes = [_box(poly.vertices) for poly in nef.polytopes]
     lo = [sum(m * b[0][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
@@ -518,10 +518,8 @@ def halfspace_intersection_vertices(ineqs, dim):
     for subset in combinations(rows, dim):
         mat = [list(a) for a, _ in subset]
         rhs = [b for _, b in subset]
-        if det(mat) == 0:
-            continue
         y = solve_linear(mat, rhs)
-        if y is None:
+        if y is None:  # singular
             continue
         if all(dot(a, y) >= b for a, b in rows):
             verts.add(y)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import islice
 
 from .laurent import (
     LaurentPolynomial,
@@ -34,14 +35,6 @@ from .linalg import NOT_UNIQUE, dot, solve_functional
 from .polytope import cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
-
-
-def _max_basis():
-    raw = os.environ.get("TORIC_MAX_BASIS", str(DEFAULT_MAX_BASIS))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(
-            f"TORIC_MAX_BASIS must be a positive integer, not {raw!r}")
-    return int(raw)
 
 
 class GradedPieceBasis:
@@ -82,20 +75,26 @@ def _check_multidegree(nef, k):
     return k
 
 
-def _guard_size(n):
-    limit = _max_basis()
-    if n > limit:
+def _guarded(points):
+    """List the points, refusing once there are more than TORIC_MAX_BASIS."""
+    raw = os.environ.get("TORIC_MAX_BASIS", str(DEFAULT_MAX_BASIS))
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(
-            f"graded piece needs {n} monomials, above the limit {limit}; "
+            f"TORIC_MAX_BASIS must be a positive integer, not {raw!r}")
+    limit = int(raw)
+    out = list(islice(points, limit + 1))
+    if len(out) > limit:
+        raise ValueError(
+            f"graded piece needs more than {limit} monomials; "
             "set TORIC_MAX_BASIS to override")
+    return out
 
 
 def graded_basis(nef, k):
     """Monomial basis of the full graded piece at multidegree k."""
     k = _check_multidegree(nef, k)
-    pts = nef_piece_points(nef, k)
-    _guard_size(len(pts))
-    return GradedPieceBasis(k, [p + k for p in pts])
+    return GradedPieceBasis(k, [p + k for p in
+                                _guarded(nef_piece_points(nef, k))])
 
 
 def interior_basis(nef, k, _cayley=None):
@@ -106,14 +105,13 @@ def interior_basis(nef, k, _cayley=None):
     against the cone over the Cayley polytope, whose facets come from its
     own hull and not from the vertex partition: every monomial is strictly
     inside the cone, and the strict points of the full piece at k are
-    exactly these monomials.
+    exactly these monomials.  Only the returned piece counts against
+    TORIC_MAX_BASIS; the full piece is scanned for the check alone.
     """
     k = _check_multidegree(nef, k)
     if any(x < 1 for x in k):
         raise ValueError("interior piece needs every k_i >= 1")
-    pts = nef_piece_points(nef, [m - 1 for m in k])
-    _guard_size(len(pts))
-    mons = [p + k for p in pts]
+    mons = [p + k for p in _guarded(nef_piece_points(nef, [m - 1 for m in k]))]
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
     level = sum(k)
 
@@ -125,8 +123,8 @@ def interior_basis(nef, k, _cayley=None):
             raise AssertionError(
                 f"interior piece at multidegree {k}: monomial {m} is not "
                 "strictly inside the Cayley cone")
-    full = graded_basis(nef, k)
-    if [m for m in full.monomials if strict(m)] != mons:
+    full = (p + k for p in nef_piece_points(nef, k))
+    if [m for m in full if strict(m)] != mons:
         raise AssertionError(
             f"interior piece at multidegree {k}: the strict points of the "
             "full piece differ from the shifted piece k - (1,...,1)")
@@ -136,11 +134,9 @@ def interior_basis(nef, k, _cayley=None):
 def interior_level_basis(nef, level, _cayley=None):
     """Union of the interior pieces over all positive k with |k| = level."""
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
-    mons = []
-    for k in positive_compositions(level, nef.r):
-        mons.extend(interior_basis(nef, k, _cayley=cay).monomials)
-    _guard_size(len(mons))
-    return GradedPieceBasis(None, mons)
+    mons = (m for k in positive_compositions(level, nef.r)
+            for m in interior_basis(nef, k, _cayley=cay).monomials)
+    return GradedPieceBasis(None, _guarded(mons))
 
 
 class ResidueFunctional:
@@ -165,14 +161,15 @@ class ResidueFunctional:
                 f"regular={self.regular})")
 
 
-def _as_vector(poly, basis):
-    vec = [Fraction(0)] * len(basis.monomials)
+def _as_row(poly, basis):
+    """The polynomial's coefficients as a sparse {basis position: value}."""
+    row = {}
     for e, c in poly.terms.items():
         i = basis.index.get(e)
         if i is None:
             raise ValueError(f"monomial {e} lies outside the graded basis")
-        vec[i] = c
-    return vec
+        row[i] = c
+    return row
 
 
 def residue_functional(fs, nef):
@@ -180,8 +177,9 @@ def residue_functional(fs, nef):
     sends the Hessian to the Cayley volume.
 
     Span vectors are the products of each of the d+r log-derivatives of the
-    combined polynomial with every interior monomial one level down.  A
-    non-unique or unreachable solution means the system is not regular.
+    combined polynomial with every interior monomial one level down, as
+    sparse rows.  A non-unique or unreachable solution means the system is
+    not regular.
     """
     fs = list(fs)
     d, r = nef.dim, nef.r
@@ -207,8 +205,9 @@ def residue_functional(fs, nef):
         if g.is_zero():
             continue
         for mono in lower.monomials:
-            span.append(_as_vector(g * monomial(n, mono), top))
-    target = _as_vector(hessian_by_subsets(F), top)
+            span.append(_as_row(g * monomial(n, mono), top))
+    hess = _as_row(hessian_by_subsets(F), top)
+    target = [hess.get(i, 0) for i in range(len(top))]
     lam = solve_functional(span, target, vol)
     if lam is NOT_UNIQUE:
         return ResidueFunctional(top, None, vol, False)

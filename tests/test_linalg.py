@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,24 +126,167 @@ def test_solve_functional_unreachable_normalization():
     assert out is NOT_UNIQUE
 
 
-def test_solve_functional_against_nullspace_oracle():
-    rng = random.Random(23)
-    for _ in range(15):
-        n = 5
-        # build a random rank-4 span so the annihilator is a line
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(8)]
-        ns = nullspace(rows, n)
-        if len(ns) != 1:
+def gauss_jordan(rows, ncols):
+    # reference: dense reduced row echelon form over Fraction
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
             continue
-        lam0 = ns[0]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def dense_rank_and_kernel(rows, ncols):
+    red, pivots = gauss_jordan(rows, ncols)
+    return len(pivots), kernel_from_rref(red, pivots, ncols)
+
+
+def kernel_from_rref(red, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve_linear(matrix, rhs):
+    ncols = len(matrix[0])
+    red, pivots = gauss_jordan([list(r) + [b] for r, b in zip(matrix, rhs)],
+                               ncols + 1)
+    if pivots != list(range(ncols)):
+        return None
+    return tuple(red[r][ncols] for r in range(ncols))
+
+
+def dense_solve_functional(ann, target, normalization):
+    if len(ann) != 1:
+        return NOT_UNIQUE
+    t = sum(a * b for a, b in zip(ann[0], target))
+    if t == 0 or normalization == 0:
+        return NOT_UNIQUE
+    return tuple(Fraction(normalization) / t * x for x in ann[0])
+
+
+def corank_one_span(rng, n, extra):
+    # n-1 independent rows killing a random w with w[n-1] = 1, mixed by a
+    # unit-triangular (so invertible) matrix, then padded with dependent,
+    # zero and duplicate rows and given random row and column orders
+    w = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+         for _ in range(n - 1)]
+    base = [[int(i == j) for j in range(n - 1)] + [-w[i]]
+            for i in range(n - 1)]
+    rows = []
+    for i in range(n - 1):
+        mix = [rng.choice([0, 0, 1, -2, 3]) for _ in range(i)] + [1]
+        rows.append([sum(c * base[j][col] for j, c in enumerate(mix))
+                     for col in range(n)])
+    for _ in range(extra):
+        pick = rng.sample(rows, min(2, len(rows)))
+        rows.append([sum(col) for col in zip(*pick)])
+    rows += [[0] * n, list(rows[0])]
+    rng.shuffle(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[r[perm[j]] for j in range(n)] for r in rows]
+
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def test_eliminator_matches_dense_gauss_jordan():
+    rng = random.Random(23)
+    cases = []
+    for n in [2, 3, 4, 5, 8, 13, 21, 40]:
+        cases.append((corank_one_span(rng, n, rng.randint(0, n // 2)), n - 1))
+        density = rng.choice([0.15, 0.5, 1.0])
+        m = rng.randint(1, n + 3)
+        cases.append(([[rng.randint(-5, 5) if rng.random() < density else 0
+                        for _ in range(n)] for _ in range(m)], None))
+    solved = 0
+    for rows, built_rank in cases:
+        n = len(rows[0])
+        dense_rank, ann = dense_rank_and_kernel(rows, n)
+        assert built_rank in (None, dense_rank)
+        assert rank(rows) == dense_rank
+        assert nullspace(rows, n) == ann
+        assert nullspace([sparse(r) for r in rows], n) == ann
+        square = rows[:n]
+        rhs = [rng.randint(-5, 5) for _ in square]
+        if len(square) == n:
+            assert solve_linear(square, rhs) == dense_solve_linear(square, rhs)
         target = tuple(rng.randint(-3, 3) for _ in range(n))
-        t = dot(lam0, target)
-        got = solve_functional(rows, target, 7)
-        if t == 0:
-            assert got is NOT_UNIQUE
-        else:
-            scale = Fraction(7) / t
-            assert got == tuple(scale * x for x in lam0)
+        want = dense_solve_functional(ann, target, 7)
+        assert solve_functional(rows, target, 7) == want
+        assert solve_functional([sparse(r) for r in rows], target, 7) == want
+        solved += want is not NOT_UNIQUE
+    assert solved >= 8
+
+
+def test_solve_linear_full_rank_against_dense():
+    rng = random.Random(29)
+    for n in range(1, 12):
+        lower = [[int(i == j) if j >= i else rng.randint(-3, 3)
+                  for j in range(n)] for i in range(n)]
+        upper = [[rng.randint(1, 4) if i == j else
+                  (rng.randint(-3, 3) if j > i else 0)
+                  for j in range(n)] for i in range(n)]
+        m = [[sum(lower[i][k] * upper[k][j] for k in range(n))
+              for j in range(n)] for i in range(n)]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        x = solve_linear(m, rhs)
+        assert x is not None and x == dense_solve_linear(m, rhs)
+        assert [dot(row, x) for row in m] == rhs
+
+
+def test_solve_functional_sparse_rows_and_edge_cases():
+    # zero rows, duplicate rows and mixed dict/dense rows
+    span = [{0: 1, 1: 1}, (0, 0, 0), {1: 1, 2: 1}, {0: 1, 1: 1}]
+    assert solve_functional(span, (0, 0, 1), 3) == (3, -3, 3)
+    # rank-deficient span: a plane of functionals, not a line
+    assert solve_functional([{0: 1}, (2, 0, 0)], (0, 1, 1), 1) is NOT_UNIQUE
+    assert solve_functional([], (1,), 2) == (2,)
+    assert solve_functional([], (), 1) is NOT_UNIQUE
+    with pytest.raises(ValueError):
+        solve_functional([{3: 1}], (1, 0, 0), 1)
+    with pytest.raises(ValueError):
+        solve_functional([{-1: 1}], (1, 0, 0), 1)
+
+
+# Stubs the back-substitution to return a vector that does not annihilate
+# the span; the bare assert proves the interpreter runs with asserts
+# stripped.
+WRONG_KERNEL = """
+from fractions import Fraction
+from toricres import linalg
+assert False
+linalg._kernel_vector = lambda pivots, free, n: tuple(
+    Fraction(int(j == free)) for j in range(n))
+linalg.solve_functional([(1, 1, 0), (0, 1, 1)], (0, 0, 1), 1)
+"""
+
+
+def test_solve_functional_postcondition_survives_optimize():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_KERNEL],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode != 0
+    assert "AssertionError: solve_functional: lam . span != 0" in proc.stderr
 
 
 def test_solve_functional_shape_mismatch():

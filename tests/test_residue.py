@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricres import residue
 from toricres.cli import main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -21,6 +22,7 @@ from toricres.polytope import (
     check_nef_partition,
     lattice_points,
     minkowski_sum_all,
+    nef_piece_points,
 )
 from toricres.residue import (
     GradedPieceBasis,
@@ -137,6 +139,34 @@ def test_basis_guard(monkeypatch):
         graded_basis(nef, (2, 2))
     monkeypatch.setenv("TORIC_MAX_BASIS", "100")
     assert len(graded_basis(nef, (2, 2))) > 3
+
+
+def test_basis_guard_counts_only_the_returned_interior_piece(monkeypatch):
+    # the full piece at (2, 2), scanned for the converse check, has 16
+    # monomials; the interior piece it returns has 6
+    nef = pentagon_family()
+    monkeypatch.setenv("TORIC_MAX_BASIS", "6")
+    assert len(interior_basis(nef, (2, 2))) == 6
+    monkeypatch.setenv("TORIC_MAX_BASIS", "5")
+    with pytest.raises(ValueError, match="TORIC_MAX_BASIS"):
+        interior_basis(nef, (2, 2))
+
+
+def test_basis_guard_refuses_a_large_piece(monkeypatch):
+    # the piece has 1734 monomials; the scan stops at the second
+    scanned = []
+
+    def counting(nef, k):
+        for p in nef_piece_points(nef, k):
+            scanned.append(p)
+            yield p
+
+    monkeypatch.setattr(residue, "nef_piece_points", counting)
+    monkeypatch.setenv("TORIC_MAX_BASIS", "1")
+    with pytest.raises(ValueError, match="more than 1 monomials.*"
+                                         "TORIC_MAX_BASIS"):
+        graded_basis(check_nef_partition(P4XP1_PARTS), (4, 4))
+    assert len(scanned) == 2
 
 
 @pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-5"])
