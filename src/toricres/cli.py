@@ -1,8 +1,8 @@
 """Batch command-line front end: JSON in, aligned tables plus JSON out.
 
-Exit codes: 0 success/verified, 2 mathematical mismatch, 1 usage or input
-error.  Reports are canonical JSON (sorted keys, fixed separators), so a
-rerun with the same inputs and seed is byte-identical.
+Exit codes: 0 success/verified, 2 mathematical mismatch or failed check,
+1 usage or input error.  Reports are canonical JSON (sorted keys, fixed
+separators), so a rerun with the same inputs and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -370,17 +370,16 @@ def cmd_suite(args):
     results = []
     all_pass = True
     for case in cases:
-        argv = [tok if os.path.isabs(tok) or not tok.endswith(".json")
-                else os.path.join(base, tok) for tok in case["argv"]]
-        sub = build_parser().parse_args(argv)
-        if sub.command == "suite":
+        if case["argv"][:1] == ["suite"]:
             raise InputError(f"case {case['name']!r}: nested suites are "
                              "not allowed")
-        report, code, _ = _dispatch(sub)
+        argv = [tok if os.path.isabs(tok) or not tok.endswith(".json")
+                else os.path.join(base, tok) for tok in case["argv"]]
+        _, report, code, _ = _run(argv)
         golden_match = None
         if case["golden"] is not None:
-            golden_match = canonical_json(report) == canonical_json(
-                case["golden"])
+            golden_match = report is not None and canonical_json(
+                report) == canonical_json(case["golden"])
         passed = code == case["expect_exit"] and golden_match is not False
         all_pass = all_pass and passed
         results.append({"name": case["name"], "exit": code,
@@ -466,21 +465,30 @@ _HANDLERS = {
 }
 
 
-def _dispatch(args):
-    return _HANDLERS[args.command](args)
+def _run(argv):
+    """Parse and run one command: (args, report, exit code, table lines).
+
+    An input error exits 1 and a failed internal check (a require() in the
+    library) exits 2; either is named on stderr, and args and report are
+    then None.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+        report, code, lines = _HANDLERS[args.command](args)
+    except (InputError, ValueError, TypeError, ZeroDivisionError,
+            RuntimeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None, None, 1, []
+    except AssertionError as e:
+        print(f"check failed: {e}", file=sys.stderr)
+        return None, None, 2, []
+    return args, report, code, lines
 
 
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        report, code, lines = _dispatch(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NefPartitionError, ValueError, TypeError, ZeroDivisionError,
-            RuntimeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    args, report, code, lines = _run(argv)
+    if report is None:
+        return code
     for line in lines:
         print(line)
     payload = canonical_json(report)

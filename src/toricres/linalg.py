@@ -36,6 +36,16 @@ class NotUnique:
 NOT_UNIQUE = NotUnique()
 
 
+def require(cond, identity):
+    """Raise AssertionError(identity) unless cond holds, also under -O.
+
+    The one way an internal check fails; the CLI maps it to exit 2.  Keep
+    identity constant, or build it once per call, never per loop element.
+    """
+    if not cond:
+        raise AssertionError(identity)
+
+
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dot: length mismatch")
@@ -178,10 +188,10 @@ def solve_functional(span, target, normalization):
         return NOT_UNIQUE
     lam = tuple(normalization / t * x for x in lam0)
     # post: the defining conditions hold exactly, checked on the sparse rows
-    if any(sum(x * lam[j] for j, x in v.items()) for v in span):
-        raise AssertionError("solve_functional: lam . span != 0")
-    if dot(lam, target) != normalization:
-        raise AssertionError("solve_functional: lam . target != normalization")
+    require(not any(sum(x * lam[j] for j, x in v.items()) for v in span),
+            "solve_functional: lam . span != 0")
+    require(dot(lam, target) == normalization,
+            "solve_functional: lam . target != normalization")
     return lam
 
 
@@ -277,8 +287,8 @@ def integer_kernel_basis(rows, n):
         if nz:
             active.remove(nz[0])
     basis = [tuple(ucols[j]) for j in active]
-    if any(dot(row, b) for row in rows for b in basis):
-        raise AssertionError("integer_kernel_basis: rows . basis != 0")
+    require(not any(dot(row, b) for row in rows for b in basis),
+            "integer_kernel_basis: rows . basis != 0")
     return basis
 
 
@@ -307,9 +317,9 @@ def quotient_by_vector(w):
     if v[last] == -1:
         u[last] = [-x for x in u[last]]
         v[last] = 1
-    if v[last] != 1 or any(v[:last]):
-        raise AssertionError("quotient_by_vector: U . w != (0, ..., 0, 1)")
+    require(v[last] == 1 and not any(v[:last]),
+            "quotient_by_vector: U . w != (0, ..., 0, 1)")
     rows = [tuple(r) for r in u[:last]]
-    if any(dot(r, w) for r in rows):
-        raise AssertionError("quotient_by_vector: rows . w != 0")
+    require(not any(dot(r, w) for r in rows),
+            "quotient_by_vector: rows . w != 0")
     return rows

@@ -3,8 +3,8 @@
 Covered families: hypersurface/complete-intersection data on a weighted
 projective space (one series variable), and on a product of projective
 spaces (one variable per factor).  Both pipelines produce exact rational
-coefficients; the weighted case also has a closed form, and the product
-case carries factorial-form cross-checks for the two bundled fixtures.
+coefficients; the weighted case also has a closed form, and the two
+bundled product fixtures have closed-form couplings (yukawa_fixture).
 
 Curve classes are enumerated over the nonnegative orthant (a single ray in
 the weighted case), and coefficients whose extraction window is empty are
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial
-from .linalg import quotient_by_vector
+from .laurent import LaurentPolynomial, compositions
+from .linalg import quotient_by_vector, require
 from .polytope import check_nef_partition
 from .residue import (
     residue_functional,
@@ -27,9 +27,7 @@ from .residue import (
 from .series import (
     RationalFunctionSpec,
     TruncatedSeries,
-    _graded_exponents,
     expand_rational,
-    inv_factorial,
     linear_form_power_coefficient,
 )
 
@@ -199,9 +197,9 @@ def wps_vertex_vectors(fam):
     """
     rows = quotient_by_vector(fam.weights)
     vecs = tuple(tuple(row[i] for row in rows) for i in range(fam.n))
-    assert all(
-        sum(w * v[j] for w, v in zip(fam.weights, vecs)) == 0
-        for j in range(fam.dim))
+    require(all(sum(w * v[j] for w, v in zip(fam.weights, vecs)) == 0
+                for j in range(fam.dim)),
+            "wps_vertex_vectors: sum of w_i * v_i != 0")
     return vecs
 
 
@@ -222,7 +220,8 @@ def wps_nef_partition(fam):
         for i in part:
             positions[i] = offset + sorted_part.index(vecs[i])
         offset += len(sorted_part)
-    assert sorted(positions) == list(range(fam.n))
+    require(sorted(positions) == list(range(fam.n)),
+            "wps_nef_partition: positions are not a permutation")
     return nef, tuple(positions)
 
 
@@ -271,23 +270,6 @@ def wps_closed_form(fam, P):
         1, {(0,): nu * pw}, [({(0,): Fraction(1), (1,): -mu}, 1)])
 
 
-def _factorial_coefficient(key, k, b):
-    # Independent closed-form coefficients for the bundled product
-    # families, used to cross-check the extraction path.
-    if key == "P3xP3":
-        b1, b2 = b
-        k1, k2 = k
-        return (9 * math.factorial(b1 + b2 + 1)
-                * inv_factorial(b1 - k1 + 2) * inv_factorial(b2 - k2 + 2))
-    if key == "P4xP1":
-        b1, b2 = b
-        k1, k2 = k
-        return (Fraction(2) ** (8 * b1 + 2 * b2 - k2 + 3)
-                * math.factorial(b1 + 2 * b2 + 1)
-                * inv_factorial(b1 - k1 + 3) * inv_factorial(2 * b2 - k2 + 1))
-    raise ValueError(f"no factorial form for {key}")
-
-
 def product_intersection_series(fam, k, order):
     """Series over the factor curve degrees, one y-variable per factor.
 
@@ -304,12 +286,12 @@ def product_intersection_series(fam, k, order):
     if sum(k) != want:
         raise ValueError(f"sum of k must be {want}")
     order = int(order)
-    key = _fixture_key(fam)
     ns = tuple(d + 1 for d in fam.dims)
     columns = [tuple(fam.matrix[i][j] for i in range(fam.p))
                for j in range(fam.r)]
     coeffs = {}
-    for beta in _graded_exponents(fam.p, order):
+    betas = [b for t in range(order + 1) for b in compositions(t, fam.p)]
+    for beta in betas:
         target = tuple(n * b + d - kk
                        for n, b, d, kk in zip(ns, beta, fam.dims, k))
         forms = [(col, sum(c * b for c, b in zip(col, beta)) + 1)
@@ -319,8 +301,6 @@ def product_intersection_series(fam, k, order):
         for s, b in zip(fam.y_scales, beta):
             scale *= s ** b
         c = raw / scale
-        if key is not None:
-            assert c == _factorial_coefficient(key, k, beta)
         if c != 0:
             coeffs[beta] = c
     return TruncatedSeries(fam.p, order, coeffs)
@@ -492,11 +472,12 @@ def verify_family(fam, order, P=None, k=None, points=None):
         series = product_intersection_series(fam, k, order)
         expanded = expand_rational(yukawa_fixture(key, k), order)
         rows = []
-        for e in _graded_exponents(fam.p, order):
-            lhs = series.coefficient(e)
-            rhs = expanded.coefficient(e)
-            rows.append({"exponent": e, "termwise": lhs,
-                         "closed_form": rhs, "equal": lhs == rhs})
+        for total in range(order + 1):
+            for e in compositions(total, fam.p):
+                lhs = series.coefficient(e)
+                rhs = expanded.coefficient(e)
+                rows.append({"exponent": e, "termwise": lhs,
+                             "closed_form": rhs, "equal": lhs == rhs})
         ok = all(r["equal"] for r in rows)
         report = {"mode": "product", "order": order, "rows": rows,
                   "points": [], "ok": ok}

@@ -28,6 +28,7 @@ from .linalg import (
     nullspace,
     primitive,
     rank,
+    require,
     solve_linear,
 )
 
@@ -71,8 +72,10 @@ class LatticePolytope:
         core, self.equations, self.facets = _hull_description(pts, d)
         self.affine_dim = d - len(self.equations)
         # sanity: every generator satisfies the whole description exactly
-        assert all(dot(u, p) == v for u, v in self.equations for p in pts)
-        assert all(dot(n, p) >= -c for n, c in self.facets for p in pts)
+        require(all(dot(u, p) == v for u, v in self.equations for p in pts),
+                "LatticePolytope: a generator is off its affine hull")
+        require(all(dot(n, p) >= -c for n, c in self.facets for p in pts),
+                "LatticePolytope: a generator violates a facet")
         self.vertices = self._find_vertices(core)
 
     def _find_vertices(self, core):
@@ -87,7 +90,8 @@ class LatticePolytope:
             tight = [list(n) for n, c in self.facets if dot(n, p) == -c]
             if rank(eqrows + tight) == d:
                 verts.append(p)
-        assert len(verts) >= self.affine_dim + 1
+        require(len(verts) >= self.affine_dim + 1,
+                "LatticePolytope: fewer than affine_dim + 1 vertices")
         return tuple(verts)
 
     @property
@@ -117,16 +121,15 @@ class LatticePolytope:
             return self
         eqrows = [list(u) for u, _ in self.equations]
         basis = integer_kernel_basis(eqrows, self.ambient_dim)
-        assert len(basis) == self.affine_dim
+        require(len(basis) == self.affine_dim,
+                "affine_lattice_image: lattice basis size != affine_dim")
         cols = list(zip(*basis))  # ambient_dim x affine_dim
         base = self.points[0]
-        image = []
-        for p in self.points:
-            coords = solve_linear(cols, _sub(p, base))
-            assert coords is not None
-            assert all(c.denominator == 1 for c in coords)
-            image.append(tuple(int(c) for c in coords))
-        return LatticePolytope(image)
+        image = [solve_linear(cols, _sub(p, base)) for p in self.points]
+        require(all(c is not None and all(x.denominator == 1 for x in c)
+                    for c in image),
+                "affine_lattice_image: a point has no integral coordinates")
+        return LatticePolytope([tuple(int(x) for x in c) for c in image])
 
     def normalized_volume(self, ambient=False):
         """dim! times Euclidean volume in the induced affine-hull lattice.
@@ -191,7 +194,8 @@ def _facet_search(pts, equations, d):
         elif v0 == vmax:
             found[(tuple(-x for x in nvec), v0)] = True
     facets = tuple(sorted(found))
-    assert all(dot(n, p) >= -c for n, c in facets for p in pts)
+    require(all(dot(n, p) >= -c for n, c in facets for p in pts),
+            "_facet_search: a point violates a found facet")
     return facets
 
 
@@ -235,7 +239,10 @@ def _hull_description(pts, d):
             return sub, eqs, facets
 
 
+# Normalized volumes by the full-dimensional image's (dim, vertices);
+# cleared when full, so it stays bounded (a residue ladder fills ~120).
 _VOLUME_CACHE = {}
+_VOLUME_CACHE_SIZE = 1024
 
 
 def _norm_volume(poly):
@@ -257,6 +264,8 @@ def _norm_volume(poly):
             continue
         face_pts = [p for p in poly.points if dot(n, p) == -c]
         total += h * _norm_volume(LatticePolytope(face_pts))
+    if len(_VOLUME_CACHE) >= _VOLUME_CACHE_SIZE:
+        _VOLUME_CACHE.clear()
     _VOLUME_CACHE[key] = total
     return total
 
@@ -329,7 +338,7 @@ def mixed_volume(polys) -> Fraction:
                 cache[key] = vol
             total += sign * vol
     v = Fraction(total, math.factorial(d))
-    assert v >= 0
+    require(v >= 0, "mixed_volume: inclusion-exclusion total < 0")
     return v
 
 
@@ -546,8 +555,7 @@ def dual_nef_partition(nef):
         verts = halfspace_intersection_vertices(ineqs, d)
         got = sorted(tuple(x for x in v) for v in verts)
         want = sorted(tuple(Fraction(x) for x in v) for v in nabla.vertices)
-        if got != want:
-            raise RuntimeError(
+        require(got == want,
                 "dual part halfspace description disagrees with its hull; "
                 f"part {i}: {got} vs {want}")
         nablas.append(nabla)
@@ -555,8 +563,6 @@ def dual_nef_partition(nef):
         [p for nabla in nablas for p in nabla.points])
     nabla_star = LatticePolytope(
         [p for poly in nef.polytopes for p in poly.points])
-    if not is_reflexive(delta_star):
-        raise RuntimeError("hull of dual parts is not reflexive")
-    if not is_reflexive(nabla_star):
-        raise RuntimeError("hull of primal parts is not reflexive")
+    require(is_reflexive(delta_star), "hull of dual parts is not reflexive")
+    require(is_reflexive(nabla_star), "hull of primal parts is not reflexive")
     return DualNefPartition(tuple(nablas), delta_star, nabla_star)

@@ -31,7 +31,7 @@ from .laurent import (
     monomial,
     positive_compositions,
 )
-from .linalg import NOT_UNIQUE, dot, solve_functional
+from .linalg import NOT_UNIQUE, dot, require, solve_functional
 from .polytope import cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
@@ -52,8 +52,7 @@ class GradedPieceBasis:
                             else tuple(int(x) for x in multidegree))
         self.monomials = tuple(sorted(tuple(int(x) for x in m)
                                       for m in monomials))
-        if len(set(self.monomials)) != len(self.monomials):
-            raise AssertionError(
+        require(len(set(self.monomials)) == len(self.monomials),
                 f"graded piece at multidegree {self.multidegree} lists a "
                 "monomial twice")
         self.index = {m: i for i, m in enumerate(self.monomials)}
@@ -118,14 +117,12 @@ def interior_basis(nef, k, _cayley=None):
     def strict(m):
         return all(dot(n, m) + c * level > 0 for n, c in cay.facets)
 
-    for m in mons:
-        if not strict(m):
-            raise AssertionError(
-                f"interior piece at multidegree {k}: monomial {m} is not "
-                "strictly inside the Cayley cone")
+    outside = next((m for m in mons if not strict(m)), None)
+    require(outside is None,
+            f"interior piece at multidegree {k}: monomial {outside} is not "
+            "strictly inside the Cayley cone")
     full = (p + k for p in nef_piece_points(nef, k))
-    if [m for m in full if strict(m)] != mons:
-        raise AssertionError(
+    require([m for m in full if strict(m)] == mons,
             f"interior piece at multidegree {k}: the strict points of the "
             "full piece differ from the shifted piece k - (1,...,1)")
     return GradedPieceBasis(k, mons)

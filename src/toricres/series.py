@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+
+from .laurent import compositions
+from .linalg import require
 
 
 def inv_factorial(n):
@@ -172,38 +174,22 @@ class RationalFunctionSpec:
         return result
 
 
-def _graded_exponents(nvars, order):
-    out = []
-    for total in range(order + 1):
-        for e in _fixed_total(nvars, total):
-            out.append(e)
-    return out
-
-
-def _fixed_total(nvars, total):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _fixed_total(nvars - 1, total - head):
-            yield (head,) + rest
-
-
 def _divide(series, factor, order):
     """series / factor as a TruncatedSeries, by graded coefficient recurrence."""
     nvars = series.nvars
     c0 = factor[(0,) * nvars]
     rest = {e: c for e, c in factor.items() if any(e)}
     q = {}
-    for e in _graded_exponents(nvars, order):
-        acc = series.coeffs.get(e, Fraction(0))
-        for f, cf in rest.items():
-            g = tuple(a - b for a, b in zip(e, f))
-            if any(x < 0 for x in g):
-                continue
-            acc -= cf * q.get(g, Fraction(0))
-        if acc != 0:
-            q[e] = acc / c0
+    for total in range(order + 1):
+        for e in compositions(total, nvars):
+            acc = series.coeffs.get(e, Fraction(0))
+            for f, cf in rest.items():
+                g = tuple(a - b for a, b in zip(e, f))
+                if any(x < 0 for x in g):
+                    continue
+                acc -= cf * q.get(g, Fraction(0))
+            if acc != 0:
+                q[e] = acc / c0
     return TruncatedSeries(nvars, order, q)
 
 
@@ -223,7 +209,8 @@ def expand_rational(spec, order):
         fac_series = TruncatedSeries(spec.nvars, order, fac)
         for _ in range(mult):
             check = check * fac_series
-    assert check == TruncatedSeries(spec.nvars, order, spec.numerator)
+    require(check == TruncatedSeries(spec.nvars, order, spec.numerator),
+            "expand_rational: expansion * denominator != numerator")
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,15 @@ FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fx(name):
     return os.path.join(FIX, name)
+
+
+def run_optimized(*args):
+    """Run python -O with the given arguments, the package on its path."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def run(capsys, *argv):
@@ -255,6 +266,24 @@ def test_series_negative_order(capsys):
                "--k", "2,1", "--order", "-1")[0] == 1
 
 
+def test_verify_trmc_invariant_under_lattice_isomorphism(tmp_path, capsys):
+    # the README's claim: presentations of a nef partition related by a
+    # lattice isomorphism give the same residues, hence the same report
+    with open(fx("p2split.json")) as fh:
+        nef = json.load(fh)
+    argv = ["verify", "trmc", "--poly", fx("x1x2.json"), "--order", "8"]
+    code, _, base = run(capsys, *argv, "--family", fx("p2split.json"))
+    assert code == 0
+    for u in ([[1, 0], [1, 1]], [[0, 1], [1, 0]], [[1, 2], [0, 1]]):
+        parts = [[[sum(a * x for a, x in zip(row, p)) for row in u]
+                  for p in part] for part in nef["parts"]]
+        path = tmp_path / "image.json"
+        path.write_text(json.dumps({"dim": 2, "parts": parts}))
+        code, _, out = run(capsys, *argv, "--family", str(path))
+        assert code == 0
+        assert out.out == base.out
+
+
 def test_yukawa(capsys):
     code, report, _ = run(capsys, "yukawa", "--fixture", "P4xP1",
                           "--indices", "3,0", "--order", "1")
@@ -326,6 +355,11 @@ def test_suite_shipping_manifest(capsys):
     assert report["ok"] is True
     assert all(c["pass"] for c in report["cases"])
     assert "SUITE PASS" in out.out
+    # every check still runs under python -O, with the same stdout
+    proc = run_optimized("-m", "toricres.cli", "suite",
+                         "--manifest", fx("manifest.json"))
+    assert proc.returncode == 0
+    assert proc.stdout == out.out
 
 
 def test_suite_empty_manifest(tmp_path, capsys):
@@ -356,15 +390,36 @@ def test_suite_perturbed_golden_fails(tmp_path, capsys):
     assert "SUITE FAIL" in out.out
 
 
-def test_suite_usage_error_aborts(tmp_path, capsys):
+def test_suite_records_erroring_case(tmp_path, capsys):
+    # a case that raises gets the exit code main gives it, and the suite
+    # goes on to the next case
+    cases = [
+        {"name": "missing", "expect_exit": 1,
+         "argv": ["polytope", "info", "--points", "missing_file.json"]},
+        {"name": "negative-order", "expect_exit": 1,
+         "argv": ["series", "product", "--family", fx("p4xp1.json"),
+                  "--k", "3,0", "--order", "-1"]},
+        {"name": "check", "argv": ["nefpart", "check",
+                                   "--nefpart", fx("p2split.json")]},
+    ]
     p = tmp_path / "m.json"
-    p.write_text(json.dumps({"cases": [
-        {"name": "bad", "argv": ["polytope", "info",
-                                 "--points", "missing_file.json"]}]}))
+    p.write_text(json.dumps({"cases": cases}))
     code, report, out = run(capsys, "suite", "--manifest", str(p))
-    assert code == 1
-    assert report is None
+    assert code == 0
+    assert [(c["name"], c["exit"], c["golden_match"], c["pass"])
+            for c in report["cases"]] == [
+        ("missing", 1, None, True), ("negative-order", 1, None, True),
+        ("check", 0, None, True)]
     assert "not found" in out.err
+    assert "--order must be nonnegative" in out.err
+    # an erroring case never matches its golden
+    cases[1]["golden"] = {}
+    p.write_text(json.dumps({"cases": cases}))
+    code, report, out = run(capsys, "suite", "--manifest", str(p))
+    assert code == 2
+    assert report["cases"][1]["golden_match"] is False
+    assert report["cases"][1]["pass"] is False
+    assert [c["pass"] for c in report["cases"]] == [True, False, True]
 
 
 def test_suite_rejects_nested_suite(tmp_path, capsys):
@@ -385,3 +440,49 @@ def test_expected_failure_case_passes(tmp_path, capsys):
     code, report, _ = run(capsys, "suite", "--manifest", str(p))
     assert code == 0
     assert report["cases"][0]["pass"] is True
+
+
+# Shifts every facet offset of the Cayley cone that residue_functional
+# builds, so interior_basis's cone check fails; the bare assert proves the
+# interpreter runs with asserts stripped.
+BROKEN_CONE = """
+import sys
+from types import SimpleNamespace
+from toricres import cli, residue
+assert False
+real = residue.cayley_polytope
+
+
+def broken(parts):
+    cay = real(parts)
+    return SimpleNamespace(facets=[(n, c - 1) for n, c in cay.facets],
+                           normalized_volume=cay.normalized_volume)
+
+
+residue.cayley_polytope = broken
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_check_exits_2_under_optimize(tmp_path):
+    argv = ["residue", "functional", "--nefpart", fx("p2split.json"),
+            "--coeffs", fx("a.json")]
+    proc = run_optimized("-c", BROKEN_CONE, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "check failed: interior piece at multidegree (")
+    assert proc.stderr.count("\n") == 1
+    assert "is not strictly inside the Cayley cone" in proc.stderr
+    # inside a suite the broken case is recorded and the next one runs
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"cases": [
+        {"name": "broken", "argv": argv},
+        {"name": "check", "argv": ["nefpart", "check",
+                                   "--nefpart", fx("p2split.json")]}]}))
+    proc = run_optimized("-c", BROKEN_CONE, "suite", "--manifest", str(p))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert [(c["name"], c["exit"], c["pass"]) for c in report["cases"]] == [
+        ("broken", 2, False), ("check", 0, True)]
+    assert "check failed: interior piece at multidegree" in proc.stderr

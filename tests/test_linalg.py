@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import random
 import subprocess
@@ -287,6 +289,19 @@ def test_solve_functional_postcondition_survives_optimize():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode != 0
     assert "AssertionError: solve_functional: lam . span != 0" in proc.stderr
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements; library checks use require()
+    pattern = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "toricres", "*.py")
+    paths = sorted(glob.glob(pattern))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path}: assert statements at lines {lines}"
 
 
 def test_solve_functional_shape_mismatch():

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from toricres.laurent import LaurentPolynomial, monomial
+from toricres.laurent import LaurentPolynomial, compositions, monomial
 from toricres.mirror import (
     P3XP3,
     P4XP1,
@@ -17,7 +18,7 @@ from toricres.mirror import (
     wps_vertex_vectors,
     yukawa_fixture,
 )
-from toricres.series import TruncatedSeries, expand_rational
+from toricres.series import TruncatedSeries, expand_rational, inv_factorial
 
 
 def quintic_family():
@@ -179,15 +180,28 @@ def test_product_series_validation():
         product_intersection_series(P3XP3, (4, -1), 2)
 
 
+def factorial_coefficient(name, k, b):
+    """Closed-form coefficient at y^b of a bundled product family."""
+    (k1, k2), (b1, b2) = k, b
+    if name == "P3xP3":
+        return (9 * math.factorial(b1 + b2 + 1)
+                * inv_factorial(b1 - k1 + 2) * inv_factorial(b2 - k2 + 2))
+    return (Fraction(2) ** (8 * b1 + 2 * b2 - k2 + 3)
+            * math.factorial(b1 + 2 * b2 + 1)
+            * inv_factorial(b1 - k1 + 3) * inv_factorial(2 * b2 - k2 + 1))
+
+
 def test_product_matches_fixture_expansion():
-    for k in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-        s = product_intersection_series(P3XP3, k, 4)
-        e = expand_rational(yukawa_fixture("P3xP3", k), 4)
-        assert s == e
-    for k in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-        s = product_intersection_series(P4XP1, k, 3)
-        e = expand_rational(yukawa_fixture("P4xP1", k), 3)
-        assert s == e
+    # three independent routes: extraction, the fixture's rational
+    # function, and the factorial form, on every coefficient up to order
+    for name, fam, order in [("P3xP3", P3XP3, 5), ("P4xP1", P4XP1, 4)]:
+        for k in [(3, 0), (2, 1), (1, 2), (0, 3)]:
+            s = product_intersection_series(fam, k, order)
+            assert s == expand_rational(yukawa_fixture(name, k), order)
+            for total in range(order + 1):
+                for b in compositions(total, 2):
+                    assert s.coefficient(b) == factorial_coefficient(
+                        name, k, b)
 
 
 def test_yukawa_fixture_validation():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricres.polytope import (
     LatticePolytope,
@@ -246,6 +248,15 @@ def test_normalized_volume_in_sublattice_hyperplane():
     assert tri.normalized_volume() == 9
 
 
+def test_volume_cache_stays_bounded():
+    from toricres import polytope
+
+    size = polytope._VOLUME_CACHE_SIZE
+    for n in range(1, size + 50):
+        assert LatticePolytope([(0,), (n,)]).normalized_volume() == n
+        assert len(polytope._VOLUME_CACHE) <= size
+
+
 def test_cayley_polytope_r1_is_height_one_copy():
     c = cayley_polytope([TRI])
     assert set(c.vertices) == {(0, 0, 1), (0, 1, 1), (-1, -1, 1)}
@@ -428,3 +439,66 @@ def test_cayley_volume_decomposes_into_mixed_volumes():
                 multiset.extend([polys[i]] * m)
             total += mixed_volume(multiset)
         assert total == cayley_polytope(polys).normalized_volume()
+
+
+# ------------------------------------------------- properties (hypothesis)
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def unimodular(draw, d):
+    """A d x d integer matrix of determinant +-1: row shears, then a
+    signed permutation of the rows."""
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, j, c in draw(st.lists(st.tuples(
+            st.integers(0, d - 1), st.integers(0, d - 1),
+            st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    rows = draw(st.permutations(m))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    return [[s * x for x in row] for s, row in zip(signs, rows)]
+
+
+def point_sets(d):
+    # segments and triangles in dimension 3 keep the hulls of their
+    # Minkowski sums fast, and still give nonzero mixed volumes
+    return st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                    min_size=2, max_size=5 if d < 3 else 3)
+
+
+def image(u, poly):
+    return LatticePolytope(
+        [tuple(sum(a * x for a, x in zip(row, p)) for row in u)
+         for p in poly.points])
+
+
+@st.composite
+def polytopes(draw, extra=0):
+    """d + extra lattice polytopes in one dimension d <= 3, and d."""
+    d = draw(st.integers(1, 3))
+    return d, [LatticePolytope(draw(point_sets(d)))
+               for _ in range(d + extra)]
+
+
+@PROPERTY
+@given(st.data())
+def test_volumes_invariant_under_unimodular_maps(data):
+    d, polys = data.draw(polytopes())
+    u = data.draw(unimodular(d))
+    images = [image(u, p) for p in polys]
+    assert [p.normalized_volume() for p in images] == [
+        p.normalized_volume() for p in polys]
+    assert mixed_volume(images) == mixed_volume(polys)
+
+
+@PROPERTY
+@given(st.data())
+def test_mixed_volume_symmetric_and_minkowski_additive(data):
+    d, polys = data.draw(polytopes(extra=1))
+    first, extra, rest = polys[0], polys[d], polys[1:d]
+    base = mixed_volume([first, *rest])
+    assert mixed_volume(data.draw(st.permutations([first, *rest]))) == base
+    assert mixed_volume([minkowski_sum(first, extra), *rest]) == (
+        base + mixed_volume([extra, *rest]))
