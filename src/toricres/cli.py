@@ -470,11 +470,13 @@ def _run(argv):
 
     An input error exits 1 and a failed internal check (a require() in the
     library) exits 2; either is named on stderr, and args and report are
-    then None.
+    then None.  A help request exits 0 after argparse prints the usage.
     """
     try:
         args = build_parser().parse_args(argv)
         report, code, lines = _HANDLERS[args.command](args)
+    except SystemExit as e:  # only argparse's help action raises it
+        return None, None, e.code or 0, []
     except (InputError, ValueError, TypeError, ZeroDivisionError,
             RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

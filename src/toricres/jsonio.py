@@ -77,13 +77,11 @@ def _need(data, key, path, kind=None):
 
 
 def _int_tuple(values, where):
-    try:
-        out = tuple(int(x) for x in values)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: expected a list of integers")
-    if any(isinstance(x, bool) for x in values):
-        raise InputError(f"{where}: expected integers, got booleans")
-    return out
+    if not isinstance(values, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in values):
+        raise InputError(f"{where}: expected a list of integers, got "
+                         f"{values!r}")
+    return tuple(values)
 
 
 def _point_list(values, dim, where):

@@ -1,9 +1,10 @@
 """Exact lattice polytopes: hulls, Minkowski sums, volumes, duality.
 
 Geometry is done entirely over the integers / exact rationals at desk scale.
-Convex hulls are found by exhaustive facet search with exact orientation
-tests; this is robust-by-construction for the small instances this library
-targets (dim <= 8, tens of generating points).
+A convex hull is grown on a core of vertices: each round describes the
+core's hull by facet search over the core with exact orientation tests,
+then adds the generators that lie outside it, until none does.  Volumes
+recurse over facets, each facet built from the vertices on it.
 
 Conventions
 -----------
@@ -27,7 +28,6 @@ from .linalg import (
     integer_kernel_basis,
     nullspace,
     primitive,
-    rank,
     require,
     solve_linear,
 )
@@ -69,30 +69,15 @@ class LatticePolytope:
             raise ValueError("ambient dimension must be positive")
         self.ambient_dim = d
         self.points = tuple(pts)
-        core, self.equations, self.facets = _hull_description(pts, d)
+        self.vertices, self.equations, self.facets = _hull_description(pts, d)
         self.affine_dim = d - len(self.equations)
         # sanity: every generator satisfies the whole description exactly
         require(all(dot(u, p) == v for u, v in self.equations for p in pts),
                 "LatticePolytope: a generator is off its affine hull")
         require(all(dot(n, p) >= -c for n, c in self.facets for p in pts),
                 "LatticePolytope: a generator violates a facet")
-        self.vertices = self._find_vertices(core)
-
-    def _find_vertices(self, core):
-        # every vertex lies in core: core generates the same hull, and an
-        # extreme point of conv(core) is an element of core
-        if self.affine_dim == 0:
-            return tuple(core)
-        d = self.ambient_dim
-        eqrows = [list(u) for u, _ in self.equations]
-        verts = []
-        for p in core:
-            tight = [list(n) for n, c in self.facets if dot(n, p) == -c]
-            if rank(eqrows + tight) == d:
-                verts.append(p)
-        require(len(verts) >= self.affine_dim + 1,
+        require(len(self.vertices) >= self.affine_dim + 1,
                 "LatticePolytope: fewer than affine_dim + 1 vertices")
-        return tuple(verts)
 
     @property
     def is_full_dim(self):
@@ -115,7 +100,8 @@ class LatticePolytope:
 
         Coordinates are taken with respect to a Z-basis of the induced
         lattice (ambient lattice meet affine hull), so normalized volume is
-        preserved and the image is full-dimensional.
+        preserved and the image is full-dimensional.  The image is
+        generated by the images of the vertices.
         """
         if self.is_full_dim:
             return self
@@ -124,8 +110,8 @@ class LatticePolytope:
         require(len(basis) == self.affine_dim,
                 "affine_lattice_image: lattice basis size != affine_dim")
         cols = list(zip(*basis))  # ambient_dim x affine_dim
-        base = self.points[0]
-        image = [solve_linear(cols, _sub(p, base)) for p in self.points]
+        base = self.vertices[0]
+        image = [solve_linear(cols, _sub(p, base)) for p in self.vertices]
         require(all(c is not None and all(x.denominator == 1 for x in c)
                     for c in image),
                 "affine_lattice_image: a point has no integral coordinates")
@@ -139,7 +125,7 @@ class LatticePolytope:
         """
         if ambient and not self.is_full_dim:
             return 0
-        return _norm_volume(self)
+        return _norm_volume(self, {})
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope)
@@ -200,27 +186,24 @@ def _facet_search(pts, equations, d):
 
 
 def _hull_description(pts, d):
-    """(core, equations, facets) of conv(pts); core contains every vertex.
+    """(vertices, equations, facets) of conv(pts).
 
-    Exhaustive search cost grows as C(len(pts), affine_dim), which explodes
-    on Minkowski sums full of interior generators.  For large inputs the
-    hull is instead grown on a working subset: seed it with lexicographically
-    tie-broken coordinate extremes (always genuine vertices), describe its
-    hull, then add the worst outside generator per violated constraint and
-    repeat.  At the fixpoint every generator satisfies the description, so
-    the description is exact however the growth happened to proceed.
+    The hull is grown on a core: seed it with lexicographically tie-broken
+    coordinate extremes, describe the core's hull, then add the farthest
+    generator off each equation some generator is off, or else the deepest
+    violator (lex tie-break) of each violated facet, and repeat.  Every
+    point added is extreme in some lexicographic order, hence a vertex of
+    conv(pts).  At the fixpoint every generator satisfies the description,
+    so conv(core) = conv(pts) and the sorted core is the vertex set.
     """
-    if math.comb(len(pts), min(d, len(pts) - 1)) <= 3000:
-        eqs = _affine_equations(pts, d)
-        return pts, eqs, _facet_search(pts, eqs, d)
     core = set()
     for i in range(d):
         core.add(max(pts, key=lambda p: (p[i],) + p))
         core.add(min(pts, key=lambda p: (p[i],) + p))
     while True:
-        sub = sorted(core)
-        eqs = _affine_equations(sub, d)
-        facets = _facet_search(sub, eqs, d)
+        verts = sorted(core)
+        eqs = _affine_equations(verts, d)
+        facets = _facet_search(verts, eqs, d)
         grown = False
         for u, v in eqs:
             out = [p for p in pts if dot(u, p) != v]
@@ -232,27 +215,22 @@ def _hull_description(pts, d):
             for n, c in facets:
                 out = [p for p in pts if dot(n, p) < -c]
                 if out:
-                    # the deepest violator (lex tie-break) is a true vertex
                     core.add(min(out, key=lambda p: (dot(n, p),) + p))
                     grown = True
         if not grown:
-            return sub, eqs, facets
+            return tuple(verts), eqs, facets
 
 
-# Normalized volumes by the full-dimensional image's (dim, vertices);
-# cleared when full, so it stays bounded (a residue ladder fills ~120).
-_VOLUME_CACHE = {}
-_VOLUME_CACHE_SIZE = 1024
-
-
-def _norm_volume(poly):
+def _norm_volume(poly, memo):
+    """Normalized volume; memo holds the volumes of full-dimensional images
+    by (dim, vertices) for the length of one top-level call."""
     da = poly.affine_dim
     if da == 0:
         return 1
     if not poly.is_full_dim:
         poly = poly.affine_lattice_image()
     key = (poly.ambient_dim, poly.vertices)
-    hit = _VOLUME_CACHE.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     # cone off the first vertex over the facets it does not lie on
@@ -262,11 +240,9 @@ def _norm_volume(poly):
         h = dot(n, v0) + c  # lattice height of v0 over the facet (n primitive)
         if h == 0:
             continue
-        face_pts = [p for p in poly.points if dot(n, p) == -c]
-        total += h * _norm_volume(LatticePolytope(face_pts))
-    if len(_VOLUME_CACHE) >= _VOLUME_CACHE_SIZE:
-        _VOLUME_CACHE.clear()
-    _VOLUME_CACHE[key] = total
+        face_pts = [p for p in poly.vertices if dot(n, p) == -c]
+        total += h * _norm_volume(LatticePolytope(face_pts), memo)
+    memo[key] = total
     return total
 
 

@@ -390,6 +390,24 @@ def test_suite_perturbed_golden_fails(tmp_path, capsys):
     assert "SUITE FAIL" in out.out
 
 
+def test_help_case_does_not_end_the_suite(tmp_path, capsys):
+    # argparse's help action exits; the suite records exit 0 and goes on
+    cases = [
+        {"name": "help", "argv": ["polytope", "info", "-h"]},
+        {"name": "missing", "expect_exit": 0,
+         "argv": ["polytope", "info", "--points", "missing_file.json"]},
+    ]
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"cases": cases}))
+    code, report, out = run(capsys, "suite", "--manifest", str(p))
+    assert code == 2
+    assert [(c["name"], c["exit"], c["pass"]) for c in report["cases"]] == [
+        ("help", 0, True), ("missing", 1, False)]
+    assert "SUITE FAIL" in out.out
+    assert main(["-h"]) == 0
+    assert "usage: toricres" in capsys.readouterr().out
+
+
 def test_suite_records_erroring_case(tmp_path, capsys):
     # a case that raises gets the exit code main gives it, and the suite
     # goes on to the next case

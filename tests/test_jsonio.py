@@ -96,6 +96,22 @@ def test_load_polytope_missing_key(tmp_path):
         load_polytope_file(path)
 
 
+def test_string_integers_are_rejected(tmp_path):
+    # a string is iterable, so "10" must not load as the point (1, 0)
+    loads = [
+        (load_polytope_file,
+         '{"dim": 2, "points": ["10", "01", ["-1", "-1"]]}'),
+        (lambda path: load_laurent(path, path),
+         '{"dim": 2, "terms": [{"exp": ["1", 0], "coef": 1}]}'),
+        (load_family_file,
+         '{"dims": ["4", 1], "matrix": [[4, 1], [0, 2]]}'),
+    ]
+    for i, (load, text) in enumerate(loads):
+        path = write(tmp_path, f"s{i}.json", text)
+        with pytest.raises(InputError, match=f"s{i}.json"):
+            load(path)
+
+
 def test_load_nefpart_file():
     dim, parts = load_nefpart_file(f"{FIX}/p2split.json")
     assert dim == 2

@@ -304,6 +304,40 @@ def test_library_has_no_assert_statement():
         assert not lines, f"{path}: assert statements at lines {lines}"
 
 
+def test_library_has_no_module_level_mutable_container():
+    # a module-level dict, list or set outlives every call: a global cache
+    # by another name.  __all__ and the cli dispatch table are fixed data.
+    allowed = {("__init__.py", "__all__"), ("cli.py", "_HANDLERS")}
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                ast.SetComp)
+    pattern = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "toricres", "*.py")
+    paths = sorted(glob.glob(pattern))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            mutable = isinstance(value, displays) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set"))
+            base = os.path.basename(path)
+            if mutable and not all(isinstance(t, ast.Name)
+                                   and (base, t.id) in allowed
+                                   for t in targets):
+                found.append(f"{base}:{node.lineno}")
+    assert not found, f"module-level mutable containers at {found}"
+
+
 def test_solve_functional_shape_mismatch():
     with pytest.raises(ValueError):
         solve_functional([(1, 0)], (1, 0, 0), 1)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricres.linalg import dot, integer_kernel_basis, rank, solve_linear
 from toricres.polytope import (
     LatticePolytope,
     NefPartitionError,
+    _affine_equations,
+    _facet_search,
     cayley_polytope,
     check_nef_partition,
     convex_hull,
@@ -72,8 +76,6 @@ def oracle_normalized_area(points):
         return (0 if (dy > 0 or (dy == 0 and dx > 0)) else 1, dx, dy)
 
     # exact angular sort: compare by cross products within half-planes
-    import functools
-
     def cmp(u, v):
         hu, dux, duy = half_and_cross(u)
         hv, dvx, dvy = half_and_cross(v)
@@ -96,6 +98,106 @@ def oracle_lattice_points(points):
         if poly.contains(cand):
             out.append(cand)
     return out
+
+
+# ------------------------------------------ exhaustive reference for hulls
+
+@functools.lru_cache(maxsize=None)
+def reference_hull(pts, d):
+    """(equations, facets, vertices) by facet search over every generator
+    (a sorted tuple), and vertices by the rank test: a point is a vertex
+    when the equations and the facets tight at it have rank d.  Cached,
+    since the volume recursion asks again for the hull just compared."""
+    eqs = _affine_equations(pts, d)
+    facets = _facet_search(pts, eqs, d)
+    if len(eqs) == d:
+        return eqs, facets, tuple(pts)
+    eqrows = [list(u) for u, _ in eqs]
+    verts = tuple(p for p in pts if rank(
+        eqrows + [list(n) for n, c in facets if dot(n, p) == -c]) == d)
+    return eqs, facets, verts
+
+
+def reference_volume(pts, memo):
+    """Normalized volume of conv(pts) by coning over reference facets, each
+    built from every generator on it and measured in its induced lattice.
+    memo holds the volumes of faces by their generator sets."""
+    key = frozenset(pts)
+    if key in memo:
+        return memo[key]
+    d = len(pts[0])
+    eqs = _affine_equations(pts, d)
+    vol = 1
+    if len(eqs) < d:
+        coords = pts
+        if eqs:
+            basis = integer_kernel_basis([list(u) for u, _ in eqs], d)
+            cols = list(zip(*basis))
+            coords = [tuple(int(x) for x in solve_linear(
+                cols, tuple(a - b for a, b in zip(p, pts[0])))) for p in pts]
+        _, facets, verts = reference_hull(tuple(sorted(coords)),
+                                          len(coords[0]))
+        vol = sum((dot(n, verts[0]) + c) * reference_volume(
+            [p for p, x in zip(pts, coords) if dot(n, x) == -c], memo)
+            for n, c in facets)
+    memo[key] = vol
+    return vol
+
+
+def reference_cases():
+    """Seeded point sets in dimensions 1-5: generic, in lower-dimensional
+    affine sublattices, with repeated points, pairwise sums of two sets
+    (mostly non-vertices), and sets with C(n, d) > 3000."""
+    rng = random.Random(41)
+
+    def box(d, n, r):
+        return [tuple(rng.randint(-r, r) for _ in range(d)) for _ in range(n)]
+
+    cases = []
+    for d in range(1, 6):
+        small = 2 if d == 5 else 4  # 5-dim reference volumes are slow
+        for _ in range(20):
+            cases.append(box(d, rng.randint(1, d + small), 2))
+        for _ in range(16):
+            k = rng.randint(0, d - 1)
+            m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+            base = box(d, 1, 2)[0]
+            cases.append([tuple(b + dot(row, q) for b, row in zip(base, m))
+                          for q in box(k, rng.randint(1, k + 4), 2)])
+        for _ in range(12):
+            pts = box(d, rng.randint(2, d + small), 1)
+            cases.append(pts + rng.choices(pts, k=len(pts)))
+        for _ in range(12):
+            a = box(d, rng.randint(2, small), 1)
+            b = box(d, rng.randint(2, 3), 1)
+            cases.append([tuple(x + y for x, y in zip(p, q))
+                          for p in a for q in b])
+    for d, n in ((2, 80), (2, 80), (2, 82), (3, 28), (3, 28), (3, 29),
+                 (3, 30), (3, 31), (4, 18), (4, 19)):
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(rng.randint(-9, 9) for _ in range(d)))
+        cases.append(sorted(pts))
+    return cases
+
+
+def test_grown_hull_matches_exhaustive_reference():
+    cases = reference_cases()
+    assert len(cases) >= 300
+    big = 0
+    for raw in cases:
+        pts = tuple(sorted(set(raw)))
+        d = len(pts[0])
+        poly = LatticePolytope(raw)
+        eqs, facets, verts = reference_hull(pts, d)
+        assert (poly.equations, poly.facets, poly.vertices) == (
+            eqs, facets, verts), raw
+        vol = reference_volume(pts, {})
+        assert poly.normalized_volume() == vol, raw
+        assert poly.normalized_volume(ambient=True) == (
+            vol if not eqs else 0), raw
+        big += math.comb(len(pts), d - len(eqs)) > 3000
+    assert big >= 10
 
 
 # ------------------------------------------------------------------ fixtures
@@ -248,13 +350,42 @@ def test_normalized_volume_in_sublattice_hyperplane():
     assert tri.normalized_volume() == 9
 
 
-def test_volume_cache_stays_bounded():
-    from toricres import polytope
+def ehrhart_volume(poly):
+    """m-th finite difference of the Ehrhart counts #(jP cap Z^n), j = 0..m,
+    m = affine_dim: the normalized volume, with no hull recursion."""
+    m = poly.affine_dim
+    total = 0
+    for j in range(m + 1):
+        dilate = LatticePolytope([tuple(j * x for x in v)
+                                  for v in poly.vertices])
+        total += (-1) ** (m - j) * math.comb(m, j) * len(
+            lattice_points(dilate))
+    return total
 
-    size = polytope._VOLUME_CACHE_SIZE
-    for n in range(1, size + 50):
-        assert LatticePolytope([(0,), (n,)]).normalized_volume() == n
-        assert len(polytope._VOLUME_CACHE) <= size
+
+def test_normalized_volume_matches_ehrhart_differences():
+    rng = random.Random(37)
+    cases = [LatticePolytope([(0,), (n,)]) for n in range(1, 41)]
+    for d in range(1, 5):
+        r = 2 if d < 4 else 1  # 4-dilates of [-2, 2]^4 make slow scans
+        for _ in range(8):
+            cases.append(LatticePolytope(
+                [tuple(rng.randint(-r, r) for _ in range(d))
+                 for _ in range(rng.randint(2, d + 3))]))
+    for d in (3, 4):
+        for _ in range(6):
+            # a polytope in a hyperplane whose induced lattice need not be
+            # spanned by its points: base + M q for q in Z^(d-1)
+            m = [[rng.randint(-1, 1) for _ in range(d - 1)] for _ in range(d)]
+            base = tuple(rng.randint(-1, 1) for _ in range(d))
+            cases.append(LatticePolytope(
+                [tuple(b + sum(x * y for x, y in zip(row, q))
+                       for b, row in zip(base, m))
+                 for q in ([rng.randint(0, 2) for _ in range(d - 1)]
+                           for _ in range(d + 2))]))
+    assert sum(p.affine_dim == p.ambient_dim - 1 > 1 for p in cases) >= 6
+    for p in cases:
+        assert p.normalized_volume() == ehrhart_volume(p), p
 
 
 def test_cayley_polytope_r1_is_height_one_copy():
