@@ -71,7 +71,9 @@ def _need(data, key, path, kind=None):
     if not isinstance(data, dict) or key not in data:
         raise InputError(f"{path}: missing required key {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON boolean loads as a Python int, but never stands for one here
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         raise InputError(f"{path}: key {key!r} has the wrong type")
     return value
 

@@ -4,7 +4,11 @@ Geometry is done entirely over the integers / exact rationals at desk scale.
 A convex hull is grown on a core of vertices: each round describes the
 core's hull by facet search over the core with exact orientation tests,
 then adds the generators that lie outside it, until none does.  Volumes
-recurse over facets, each facet built from the vertices on it.
+recurse over facets, each facet built from the vertices on it.  Lattice
+points come from one lazy enumerator over a system of cuts <x, e> >= c:
+it fixes one coordinate at a time and bounds it by every cut, with the
+later coordinates at their best over a bounding box, so each point it
+reaches is a point of the polytope.
 
 Conventions
 -----------
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .linalg import (
     cofactor_nullvector,
@@ -252,22 +256,59 @@ def _box(vertices):
     return [min(c) for c in cols], [max(c) for c in cols]
 
 
-def _box_scan(lo, hi, keep):
-    """Lazy lattice points of the box [lo, hi] passing keep, lexicographic."""
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return filter(keep, product(*ranges))
+def _cut_points(lo, hi, cuts):
+    """Lazy lattice points x of the box [lo, hi] with <x, e> >= c for every
+    cut (e, c), in lexicographic order.
+
+    Coordinates are fixed one at a time, keeping each cut's remainder
+    c - <x_<j, e_<j>.  A cut bounds x_j by taking every later coordinate at
+    its best value over the box, so the last coordinate's range is exact:
+    every leaf is a point and no point is tested.  The box is never listed.
+    """
+    d = len(lo)
+    cuts = list(cuts)
+    # slack[j][t]: max over the box of sum_{i > j} e_i x_i for cut t
+    slack = [[0] * len(cuts)]
+    for j in range(d - 1, 0, -1):
+        slack.append([s + max(e[j] * lo[j], e[j] * hi[j])
+                      for s, (e, _) in zip(slack[-1], cuts)])
+    slack.reverse()
+
+    def walk(j, prefix, need):
+        a, b = lo[j], hi[j]
+        for (e, _), m, s in zip(cuts, need, slack[j]):
+            w, m = e[j], m - s  # the cut now asks w * x_j >= m
+            if w > 0:
+                a = max(a, -(-m // w))
+            elif w < 0:
+                b = min(b, m // w)
+            elif m > 0:
+                return
+        if j == d - 1:
+            for x in range(a, b + 1):
+                yield prefix + (x,)
+            return
+        for x in range(a, b + 1):
+            yield from walk(j + 1, prefix + (x,),
+                            [m - e[j] * x for (e, _), m in zip(cuts, need)])
+
+    return walk(0, (), [c for _, c in cuts])
 
 
 def lattice_points(poly):
     """All lattice points of the polytope, in lexicographic order."""
-    return list(_box_scan(*_box(poly.vertices), poly.contains))
+    cuts = [(n, -c) for n, c in poly.facets]
+    for u, v in poly.equations:
+        cuts += [(u, v), (tuple(-x for x in u), -v)]
+    return list(_cut_points(*_box(poly.vertices), cuts))
 
 
 def interior_lattice_points(poly):
     """Lattice points strictly inside a full-dimensional polytope."""
     if not poly.is_full_dim:
         raise ValueError("interior requires a full-dimensional polytope")
-    return list(_box_scan(*_box(poly.vertices), poly.strictly_contains))
+    cuts = [(n, 1 - c) for n, c in poly.facets]
+    return list(_cut_points(*_box(poly.vertices), cuts))
 
 
 def minkowski_sum(p, q):
@@ -362,10 +403,12 @@ class NefPartition:
     hull of {0} and A_i), delta the reflexive sum, dual_vertices the facet
     normals of delta, and vertex_partition the induced split of those
     normals: e belongs to part i exactly when min_{Delta_i} <., e> = -1.
+    residue_setup is None until residue.residue_setup builds, on first use,
+    what every residue functional of this partition shares.
     """
 
     __slots__ = ("dim", "parts", "polytopes", "delta", "dual_vertices",
-                 "vertex_partition")
+                 "vertex_partition", "residue_setup")
 
     def __init__(self, dim, parts, polytopes, delta, dual_vertices,
                  vertex_partition):
@@ -375,6 +418,7 @@ class NefPartition:
         self.delta = delta
         self.dual_vertices = dual_vertices
         self.vertex_partition = vertex_partition
+        self.residue_setup = None
 
     @property
     def r(self):
@@ -450,22 +494,24 @@ def check_nef_partition(parts, dim=None):
                         vertex_partition)
 
 
-def nef_piece_points(nef, k):
+def nef_piece_points(nef, k, cuts=()):
     """Lattice points of k_1*Delta_1 + ... + k_r*Delta_r, lexicographic.
 
     k holds one nonnegative integer per part.  The normal fan of Delta
     refines that of every such sum, so the sum is cut out by the facet
     normals e of Delta alone, with offsets read off the vertex partition:
-    {x : <x, e> >= -k_i for every e assigned to part i}.  The scanned box
-    is the sum of the parts' bounding boxes scaled by k.  Returns an
-    iterator, so a caller with a size limit can stop the scan early.
+    {x : <x, e> >= -k_i for every e assigned to part i}.  The points are
+    enumerated from those cuts inside the sum of the parts' bounding boxes
+    scaled by k, which bounds the coordinates not yet fixed.  Further cuts
+    (e, c), each keeping only <x, e> >= c, narrow the piece the same way.
+    Returns an iterator, so a caller with a size limit can stop early.
     """
     boxes = [_box(poly.vertices) for poly in nef.polytopes]
     lo = [sum(m * b[0][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
     hi = [sum(m * b[1][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
-    cuts = [(e, -m) for block, m in zip(nef.vertex_partition, k)
-            for e in block]
-    return _box_scan(lo, hi, lambda x: all(dot(e, x) >= c for e, c in cuts))
+    own = [(e, -m) for block, m in zip(nef.vertex_partition, k)
+           for e in block]
+    return _cut_points(lo, hi, own + list(cuts))
 
 
 class DualNefPartition:

@@ -11,14 +11,18 @@ multidegree k has monomial basis the lattice points of k_1*D_1 + ... +
 k_r*D_r, embedded at height k.  That sum is read straight off the nef
 partition as {x : <x, e> >= -k_owner(e)} over the dual vertices e of
 D = D_1 + ... + D_r, because the normal fan of D refines the normal fan of
-every such sum.  Interior pieces (all k_i >= 1) are the same sets at the
-reflexive shift k -> k - (1,...,1), cross-checked against the strict
-inequalities of the cone over the Cayley polytope.
+every such sum, and enumerated from those cuts coordinate by coordinate,
+never by scanning a box.  Interior pieces (all k_i >= 1) are the same sets
+at the reflexive shift k -> k - (1,...,1), cross-checked against the strict
+inequalities of the cone over the Cayley polytope.  The Cayley volume and
+the two interior level bases a residue functional needs depend on the nef
+partition alone; they are built once per NefPartition and kept on it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -103,9 +107,9 @@ def interior_basis(nef, k, _cayley=None):
     {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  Two checks
     against the cone over the Cayley polytope, whose facets come from its
     own hull and not from the vertex partition: every monomial is strictly
-    inside the cone, and the strict points of the full piece at k are
-    exactly these monomials.  Only the returned piece counts against
-    TORIC_MAX_BASIS; the full piece is scanned for the check alone.
+    inside the cone, and the strict points of the full piece at k, listed
+    with the cone's facets as strict cuts, are exactly these monomials.
+    Only the returned piece counts against TORIC_MAX_BASIS.
     """
     k = _check_multidegree(nef, k)
     if any(x < 1 for x in k):
@@ -113,16 +117,17 @@ def interior_basis(nef, k, _cayley=None):
     mons = [p + k for p in _guarded(nef_piece_points(nef, [m - 1 for m in k]))]
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
     level = sum(k)
-
-    def strict(m):
-        return all(dot(n, m) + c * level > 0 for n, c in cay.facets)
-
-    outside = next((m for m in mons if not strict(m)), None)
+    outside = next((m for m in mons
+                    if not all(dot(n, m) + c * level > 0
+                               for n, c in cay.facets)), None)
     require(outside is None,
             f"interior piece at multidegree {k}: monomial {outside} is not "
             "strictly inside the Cayley cone")
-    full = (p + k for p in nef_piece_points(nef, k))
-    require([m for m in full if strict(m)] == mons,
+    # <(x, k), n> + c * level > 0 as a cut on x alone
+    d = nef.dim
+    strict = [(n[:d], 1 - c * level - dot(n[d:], k)) for n, c in cay.facets]
+    full = [p + k for p in nef_piece_points(nef, k, strict)]
+    require(full == mons,
             f"interior piece at multidegree {k}: the strict points of the "
             "full piece differ from the shifted piece k - (1,...,1)")
     return GradedPieceBasis(k, mons)
@@ -134,6 +139,25 @@ def interior_level_basis(nef, level, _cayley=None):
     mons = (m for k in positive_compositions(level, nef.r)
             for m in interior_basis(nef, k, _cayley=cay).monomials)
     return GradedPieceBasis(None, _guarded(mons))
+
+
+# What every residue functional of one nef partition shares: vol, the
+# normalized volume of the Cayley polytope; top and lower, the interior
+# level bases at total degree d+r and d+r-1.
+ResidueSetup = namedtuple("ResidueSetup", "vol top lower")
+
+
+def residue_setup(nef):
+    """The nef partition's ResidueSetup, built on first use and kept on it,
+    so retried draws and further points pay for it once."""
+    if nef.residue_setup is None:
+        cay = cayley_polytope(nef.polytopes)
+        n = nef.dim + nef.r
+        nef.residue_setup = ResidueSetup(
+            cay.normalized_volume(),
+            interior_level_basis(nef, n, _cayley=cay),
+            interior_level_basis(nef, n - 1, _cayley=cay))
+    return nef.residue_setup
 
 
 class ResidueFunctional:
@@ -190,18 +214,16 @@ def residue_functional(fs, nef):
         for e in f.terms:
             if not poly.contains(e):
                 raise ValueError(f"support point {e} outside its polytope")
-    cay = cayley_polytope(nef.polytopes)
-    vol = cay.normalized_volume()
+    setup = residue_setup(nef)
+    top, vol = setup.top, setup.vol
     n = d + r
-    top = interior_level_basis(nef, n, _cayley=cay)
-    lower = interior_level_basis(nef, n - 1, _cayley=cay)
     F = cayley_polynomial(fs)
     span = []
     for i in range(n):
         g = log_derivative(F, i)
         if g.is_zero():
             continue
-        for mono in lower.monomials:
+        for mono in setup.lower.monomials:
             span.append(_as_row(g * monomial(n, mono), top))
     hess = _as_row(hessian_by_subsets(F), top)
     target = [hess.get(i, 0) for i in range(len(top))]

@@ -70,6 +70,21 @@ def test_missing_file_is_usage_error(capsys):
     assert "not found" in out.err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("polytope", "info", "--points"), '{"dim": true, "points": [[0], [3]]}'),
+    (("nefpart", "check", "--nefpart"),
+     '{"dim": false, "parts": [[[1, 0]], [[0, 1], [-1, -1]]]}'),
+])
+def test_boolean_integers_are_rejected(tmp_path, capsys, argv, text):
+    # JSON true loads as the Python int 1; it must not pass for dim 1
+    p = tmp_path / "b.json"
+    p.write_text(text)
+    code, report, out = run(capsys, *argv, str(p))
+    assert code == 1
+    assert report is None
+    assert "key 'dim' has the wrong type" in out.err
+
+
 def test_malformed_json_position(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"dim": 2,\n "points": [[1,]]}')

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_lattice_points, reference_piece_points
+from toricres.laurent import compositions
 from toricres.linalg import dot, integer_kernel_basis, rank, solve_linear
+from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
     NefPartitionError,
@@ -25,6 +28,7 @@ from toricres.polytope import (
     minkowski_sum,
     minkowski_sum_all,
     mixed_volume,
+    nef_piece_points,
 )
 
 
@@ -86,18 +90,6 @@ def oracle_normalized_area(points):
 
     verts.sort(key=functools.cmp_to_key(cmp))
     return oracle_area2_2d(verts)
-
-
-def oracle_lattice_points(points):
-    poly = LatticePolytope(points)
-    lo = [min(v[i] for v in poly.points) for i in range(poly.ambient_dim)]
-    hi = [max(v[i] for v in poly.points) for i in range(poly.ambient_dim)]
-    out = []
-    from itertools import product
-    for cand in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if poly.contains(cand):
-            out.append(cand)
-    return out
 
 
 # ------------------------------------------ exhaustive reference for hulls
@@ -205,6 +197,11 @@ def test_grown_hull_matches_exhaustive_reference():
 SEG = LatticePolytope([(0, 0), (1, 0)])                    # conv{0, e1}
 TRI = LatticePolytope([(0, 0), (0, 1), (-1, -1)])          # conv{0, e2, -e1-e2}
 PENTAGON_VERTICES = {(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1)}
+# two-part decomposition in dimension 5 of P4 x P1 type
+P4XP1_PARTS = [
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)],
+    [(-1, -1, -1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, -1)],
+]
 
 
 def test_hull_unit_simplex():
@@ -294,7 +291,7 @@ def test_lattice_points_examples():
     assert len(lattice_points(simplex2)) == 6
     penta = minkowski_sum(SEG, TRI)
     got = lattice_points(penta)
-    assert got == oracle_lattice_points(penta.points)
+    assert got == reference_lattice_points(penta)
     assert got == sorted(got)  # deterministic lexicographic order
     assert len(got) == 6  # five vertices plus the origin
 
@@ -302,6 +299,61 @@ def test_lattice_points_examples():
 def test_lattice_points_lower_dimensional():
     seg = LatticePolytope([(0, 0), (2, 2)])
     assert lattice_points(seg) == [(0, 0), (1, 1), (2, 2)]
+
+
+def random_lattice_polytopes(seed):
+    """Seeded polytopes in dimensions 1-4: generic point sets, and point
+    sets base + M q spanning a lower-dimensional affine sublattice."""
+    rng = random.Random(seed)
+    cases = []
+    for d in range(1, 5):
+        for _ in range(15):
+            cases.append(LatticePolytope(
+                [tuple(rng.randint(-3, 3) for _ in range(d))
+                 for _ in range(rng.randint(1, d + 3))]))
+        for _ in range(10):
+            k = rng.randint(1, d) - 1
+            m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+            base = [rng.randint(-2, 2) for _ in range(d)]
+            cases.append(LatticePolytope(
+                [tuple(b + dot(row, q) for b, row in zip(base, m))
+                 for q in ([rng.randint(-1, 2) for _ in range(k)]
+                           for _ in range(k + 3))]))
+    return cases
+
+
+def test_lattice_points_match_box_scan_reference():
+    cases = random_lattice_polytopes(53)
+    assert sum(p.is_full_dim for p in cases) >= 30
+    assert sum(not p.is_full_dim and p.affine_dim > 0 for p in cases) >= 20
+    for p in cases:
+        assert lattice_points(p) == reference_lattice_points(p), p
+        if p.is_full_dim:
+            assert interior_lattice_points(p) == reference_lattice_points(
+                p, strict=True), p
+
+
+def test_nef_piece_points_match_box_scan_reference():
+    families = [
+        (check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]]), 5),
+        (wps_nef_partition(WpsFamily((1,) * 5, ((0, 1, 2, 3, 4),)))[0], 5),
+        (wps_nef_partition(WpsFamily((1,) * 4, ((0, 1), (2, 3))))[0], 5),
+        (wps_nef_partition(WpsFamily((1,) * 5, ((0, 1), (2, 3, 4))))[0], 5),
+        (check_nef_partition(P4XP1_PARTS), 3),
+    ]
+    pieces = 0
+    for nef, top in families:
+        for level in range(top + 1):
+            for k in compositions(level, nef.r):
+                assert list(nef_piece_points(nef, k)) == \
+                    reference_piece_points(nef, k), (nef, k)
+                pieces += 1
+    assert pieces == 79
+    # a further cut with zero normal keeps every point or none
+    nef = families[0][0]
+    full = reference_piece_points(nef, (2, 2))
+    assert list(nef_piece_points(nef, (2, 2), [((0, 0), 0)])) == full
+    assert list(nef_piece_points(nef, (2, 2), [((0, 0), 1)])) == []
 
 
 def test_interior_lattice_points():
@@ -367,10 +419,9 @@ def test_normalized_volume_matches_ehrhart_differences():
     rng = random.Random(37)
     cases = [LatticePolytope([(0,), (n,)]) for n in range(1, 41)]
     for d in range(1, 5):
-        r = 2 if d < 4 else 1  # 4-dilates of [-2, 2]^4 make slow scans
         for _ in range(8):
             cases.append(LatticePolytope(
-                [tuple(rng.randint(-r, r) for _ in range(d))
+                [tuple(rng.randint(-2, 2) for _ in range(d))
                  for _ in range(rng.randint(2, d + 3))]))
     for d in (3, 4):
         for _ in range(6):
@@ -535,9 +586,7 @@ def test_dual_nef_partition_quintic_type():
 def test_dual_nef_partition_dim5_product_type():
     # two-part decomposition in dimension 5 (a projective 4-space times a
     # line factor); the full dual family must come out reflexive
-    a1 = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)]
-    a2 = [(-1, -1, -1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, -1)]
-    nef = check_nef_partition([a1, a2])
+    nef = check_nef_partition(P4XP1_PARTS)
     dual = dual_nef_partition(nef)
     nabla = minkowski_sum_all(dual.nablas)
     assert is_reflexive(nabla)

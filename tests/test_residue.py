@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from reference import reference_lattice_points
 
 from toricres import residue
 from toricres.cli import main
@@ -16,6 +17,7 @@ from toricres.laurent import (
     log_derivative,
     monomial,
 )
+from toricres.linalg import solve_functional
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
@@ -92,7 +94,8 @@ def test_graded_basis_direct_sum_bookkeeping():
                 scaled = [LatticePolytope([tuple(m * x for x in v)
                                            for v in poly.vertices])
                           for poly, m in zip(nef.polytopes, k)]
-                hull_route = lattice_points(minkowski_sum_all(scaled))
+                hull_route = reference_lattice_points(
+                    minkowski_sum_all(scaled))
                 assert graded_basis(nef, k).monomials == tuple(
                     p + k for p in hull_route), (nef, k)
     nef = pentagon_family()
@@ -384,6 +387,34 @@ def test_draw_regular_coefficients_deterministic():
     assert c1 == c2
     assert rf1.values == rf2.values
     assert rf1.regular
+
+
+def test_setup_is_built_once_per_nef_partition(monkeypatch):
+    # three non-regular draws, the regular fourth, then the mixed-volume
+    # identity: each interior level basis is built exactly once
+    built = []
+
+    def counting(nef, level, _cayley=None):
+        built.append(level)
+        return interior_level_basis(nef, level, _cayley=_cayley)
+
+    solves = []
+
+    def failing_thrice(span, target, vol):
+        solves.append(len(span))
+        if len(solves) <= 3:
+            return residue.NOT_UNIQUE
+        return solve_functional(span, target, vol)
+
+    monkeypatch.setattr(residue, "interior_level_basis", counting)
+    monkeypatch.setattr(residue, "solve_functional", failing_thrice)
+    nef = pentagon_family()
+    _, fs, rf = draw_regular_coefficients(nef, random.Random(3))
+    assert rf.regular and len(solves) == 4
+    report = check_mixed_volume_identity(fs, nef)
+    assert report["all_equal"] and report["sum_equals_vol"]
+    assert len(solves) == 5
+    assert sorted(built) == [3, 4]
 
 
 def test_graded_piece_basis_dedup_guard():
