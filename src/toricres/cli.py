@@ -30,7 +30,6 @@ from .jsonio import (
 )
 from .laurent import cayley_polynomial, hessian, mixed_hessian
 from .mirror import (
-    draw_wps_points,
     product_intersection_series,
     verify_family,
     wps_closed_form,
@@ -253,7 +252,7 @@ def cmd_residue(args):
     # conjecture310: mixed residues of the mixed hessian components
     # against mixed volumes, plus the volume sum rule
     try:
-        result = check_mixed_volume_identity(fs, nef)
+        result = check_mixed_volume_identity(fs, nef, rf)
     except ValueError as e:
         report = {"command": "residue conjecture310", "ok": False,
                   "error": str(e), **base}
@@ -334,9 +333,7 @@ def cmd_verify(args):
         if args.poly is None:
             raise InputError("verify trmc on a weighted family needs --poly")
         P = load_laurent(args.poly, args.poly)
-        rng = random.Random(args.seed)
-        points = draw_wps_points(fam, rng, 2)
-        raw = verify_family(fam, order, P=P, points=points)
+        raw = verify_family(fam, order, P=P, rng=random.Random(args.seed))
     else:
         if args.k is None:
             raise InputError("verify trmc on a product family needs --k")

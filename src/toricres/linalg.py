@@ -52,9 +52,13 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _det_int(m):
-    # Fraction-free Bareiss elimination; mutates its argument.
+def det_int(matrix) -> int:
+    """Determinant of an integer matrix, by fraction-free Bareiss
+    elimination: every intermediate stays an integer."""
+    m = [list(r) for r in matrix]
     n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("det_int: matrix is not square")
     if n == 0:
         return 1
     sign = 1
@@ -73,39 +77,6 @@ def _det_int(m):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def det(matrix) -> Fraction:
-    """Exact determinant.
-
-    Rational rows are cleared to integers first (row lcm), then eliminated
-    fraction-free so all intermediates stay integral.
-    """
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("det: matrix is not square")
-    scale = 1
-    cleared = []
-    for row in rows:
-        frow = [Fraction(x) for x in row]
-        mult = math.lcm(*(f.denominator for f in frow))
-        scale *= mult
-        cleared.append([int(f * mult) for f in frow])
-    return Fraction(_det_int(cleared), scale)
-
-
-def det_int(matrix) -> int:
-    """Determinant of an integer matrix (fraction-free, exact)."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in rows):
-        raise ValueError("det_int: matrix is not square")
-    return _det_int(rows)
 
 
 def _sparse_row(row, ncols):
@@ -216,25 +187,6 @@ def primitive(vec):
     if g == 0:
         raise ValueError("primitive: zero vector")
     return tuple(x // g for x in vec)
-
-
-def cofactor_nullvector(rows, n):
-    """Integer kernel vector of an (n-1) x n integer matrix via cofactors.
-
-    Returns the vector of signed maximal minors, or None when the rows are
-    rank-deficient (all minors vanish).  For full-rank rows this spans the
-    one-dimensional kernel exactly.
-    """
-    if len(rows) != n - 1:
-        raise ValueError("cofactor_nullvector: need n-1 rows")
-    out = []
-    for j in range(n):
-        sub = [[row[i] for i in range(n) if i != j] for row in rows]
-        d = _det_int(sub)
-        out.append(-d if j % 2 else d)
-    if all(x == 0 for x in out):
-        return None
-    return tuple(out)
 
 
 def _egcd(a, b):

@@ -20,6 +20,7 @@ from .laurent import LaurentPolynomial, compositions
 from .linalg import quotient_by_vector, require
 from .polytope import check_nef_partition
 from .residue import (
+    draw_regular_coefficients,
     residue_functional,
     residue_of_polynomial,
     system_from_coefficients,
@@ -381,28 +382,32 @@ def _default_points(n):
             tuple(Fraction(1, i + 3) for i in range(n))]
 
 
+def _draw_solved(nef, positions, rng, count):
+    """count seeded regular points of a weighted family's partition, each
+    with its residue functional, as (point, functional) pairs."""
+    solved = []
+    for _ in range(count):
+        coeffs, _, rf = draw_regular_coefficients(nef, rng)
+        solved.append((tuple(coeffs[i] for i in positions), rf))
+    return solved
+
+
 def draw_wps_points(fam, rng, count=2):
     """Seeded regular coefficient points for a weighted family.
 
     Draws small positive fractions per coordinate, keeping only tuples
     whose linear system is regular, until count points are collected.
     """
-    from .residue import draw_regular_coefficients
-
     nef, positions = wps_nef_partition(fam)
-    points = []
-    for _ in range(int(count)):
-        coeffs, _, _ = draw_regular_coefficients(nef, rng)
-        points.append(tuple(coeffs[positions[i]] for i in range(fam.n)))
-    return points
+    return [pt for pt, _ in _draw_solved(nef, positions, rng, int(count))]
 
 
-def _wps_residue_value(fam, nef, positions, P, point, kbar):
+def _wps_residue_value(fam, nef, positions, P, point, kbar, rf=None):
     coeffs = [None] * len(nef.points)
     for i, a in enumerate(point):
         coeffs[positions[i]] = a
-    fs = system_from_coefficients(nef, coeffs)
-    rf = residue_functional(fs, nef)
+    if rf is None:
+        rf = residue_functional(system_from_coefficients(nef, coeffs), nef)
     if not rf.regular:
         raise ValueError(
             f"coefficient point {tuple(point)} gives a non-regular system; "
@@ -417,14 +422,17 @@ def _wps_residue_value(fam, nef, positions, P, point, kbar):
     return residue_of_polynomial(rf, nef, P_in, coeffs, kbar)
 
 
-def verify_family(fam, order, P=None, k=None, points=None):
+def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     """Compare the series pipelines for one family, coefficient by coefficient.
 
     Weighted families: the termwise series against the closed-form
     expansion, plus the closed form against the residue pairing at two or
-    more rational coefficient points.  Product families: the extraction
-    series against the bundled closed-form fixture.  Returns a report dict
-    whose "ok" is True only when every comparison is an exact match.
+    more rational coefficient points: the given points, or two regular
+    points drawn from rng as draw_wps_points does (each point's functional
+    is solved once, for the draw and the pairing), or two fixed points.
+    Product families: the extraction series against the bundled
+    closed-form fixture.  Returns a report dict whose "ok" is True only
+    when every comparison is an exact match.
     """
     order = int(order)
     if isinstance(fam, WpsFamily):
@@ -441,20 +449,25 @@ def verify_family(fam, order, P=None, k=None, points=None):
                          "closed_form": rhs, "equal": lhs == rhs})
         kbar = _group_degrees(P, fam.parts)
         nef, positions = wps_nef_partition(fam)
-        if points is None:
-            points = _default_points(fam.n)
-        points = [tuple(Fraction(a) for a in pt) for pt in points]
-        if len(points) < 2:
+        if points is not None and rng is not None:
+            raise ValueError("give coefficient points or an rng, not both")
+        if rng is not None:
+            solved = _draw_solved(nef, positions, rng, 2)
+        else:
+            if points is None:
+                points = _default_points(fam.n)
+            solved = [(tuple(Fraction(a) for a in pt), None) for pt in points]
+        if len(solved) < 2:
             raise ValueError("at least two coefficient points are required")
         point_rows = []
-        for pt in points:
+        for pt, rf in solved:
             if len(pt) != fam.n or any(a == 0 for a in pt):
                 raise ValueError(f"bad coefficient point {pt}")
             y = Fraction(1)
             for a, w in zip(pt, fam.weights):
                 y *= a ** w
             closed = cf.evaluate([y])
-            res = _wps_residue_value(fam, nef, positions, P, pt, kbar)
+            res = _wps_residue_value(fam, nef, positions, P, pt, kbar, rf)
             point_rows.append({"a": pt, "y": y, "closed_form": closed,
                                "residue": res, "equal": closed == res})
         ok = all(r["equal"] for r in rows) and all(

@@ -1,14 +1,15 @@
 """Exact lattice polytopes: hulls, Minkowski sums, volumes, duality.
 
 Geometry is done entirely over the integers / exact rationals at desk scale.
-A convex hull is grown on a core of vertices: each round describes the
-core's hull by facet search over the core with exact orientation tests,
-then adds the generators that lie outside it, until none does.  Volumes
-recurse over facets, each facet built from the vertices on it.  Lattice
-points come from one lazy enumerator over a system of cuts <x, e> >= c:
-it fixes one coordinate at a time and bounds it by every cut, with the
-later coordinates at their best over a bounding box, so each point it
-reaches is a point of the polytope.
+Hulls come from one exact double-description routine on integer rows: for
+a point set, the facets are the extreme rays of the cone dual to the
+homogenized generators (1, p), built one generator at a time; for a
+halfspace system, the vertices are the extreme rays of the cone cut out by
+its homogenized rows.  Volumes recurse over facets, each facet built from
+the vertices on it.  Lattice points come from one lazy enumerator over a
+system of cuts <x, e> >= c: it fixes one coordinate at a time and bounds it
+by every cut, with the later coordinates at their best over a bounding box,
+so each point it reaches is a point of the polytope.
 
 Conventions
 -----------
@@ -27,13 +28,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (
-    cofactor_nullvector,
+    det_int,
     dot,
     integer_kernel_basis,
     nullspace,
     primitive,
     require,
-    solve_linear,
 )
 
 
@@ -99,28 +99,6 @@ class LatticePolytope:
         x = tuple(x)
         return all(dot(n, x) > -c for n, c in self.facets)
 
-    def affine_lattice_image(self):
-        """The same polytope rewritten in coordinates of its affine hull.
-
-        Coordinates are taken with respect to a Z-basis of the induced
-        lattice (ambient lattice meet affine hull), so normalized volume is
-        preserved and the image is full-dimensional.  The image is
-        generated by the images of the vertices.
-        """
-        if self.is_full_dim:
-            return self
-        eqrows = [list(u) for u, _ in self.equations]
-        basis = integer_kernel_basis(eqrows, self.ambient_dim)
-        require(len(basis) == self.affine_dim,
-                "affine_lattice_image: lattice basis size != affine_dim")
-        cols = list(zip(*basis))  # ambient_dim x affine_dim
-        base = self.vertices[0]
-        image = [solve_linear(cols, _sub(p, base)) for p in self.vertices]
-        require(all(c is not None and all(x.denominator == 1 for x in c)
-                    for c in image),
-                "affine_lattice_image: a point has no integral coordinates")
-        return LatticePolytope([tuple(int(x) for x in c) for c in image])
-
     def normalized_volume(self, ambient=False):
         """dim! times Euclidean volume in the induced affine-hull lattice.
 
@@ -160,85 +138,150 @@ def _affine_equations(pts, d):
     return tuple((u, dot(u, base)) for u in eqs)
 
 
-def _facet_search(pts, equations, d):
-    """Exhaustive facet enumeration over affine_dim-subsets of pts."""
-    da = d - len(equations)
-    if da == 0:
-        return ()
-    eqrows = [list(u) for u, _ in equations]
-    found = {}
-    for subset in combinations(range(len(pts)), da):
-        q0 = pts[subset[0]]
-        rows = eqrows + [list(_sub(pts[i], q0)) for i in subset[1:]]
-        nvec = cofactor_nullvector(rows, d)
-        if nvec is None:
-            continue  # affinely dependent subset
-        nvec = primitive(nvec)
-        v0 = dot(nvec, q0)
-        vals = [dot(nvec, p) for p in pts]
-        vmin, vmax = min(vals), max(vals)
-        if vmin == vmax:
+def _meet(lin, g):
+    """Cut the lineality basis lin by the row g.
+
+    Returns (l, s, rest): a vector l of lin with s = <g, l> > 0 (negated if
+    need be), and the other vectors projected along l onto <g, .> = 0.
+    When g vanishes on all of lin, returns (None, 0, lin).
+    """
+    vals = [dot(g, x) for x in lin]
+    k = next((k for k, s in enumerate(vals) if s), None)
+    if k is None:
+        return None, 0, lin
+    s, l = vals.pop(k), lin[k]
+    if s < 0:
+        s, l = -s, tuple(-x for x in l)
+    rest = [primitive(tuple(s * a - t * b for a, b in zip(m, l)))
+            for m, t in zip(lin[:k] + lin[k + 1:], vals)]
+    return l, s, rest
+
+
+def _cone_rays(rows, n):
+    """Extreme rays of the cone {x in Q^n : <g, x> >= 0, g in rows}, taken
+    modulo its lineality space.
+
+    Exact double description (Motzkin et al. 1953; Fukuda-Prodon 1996) on
+    integer rows, one row at a time.  A row that meets the remaining
+    lineality space turns one of its vectors into a ray and projects the
+    rest of it and the rays along that one.  Otherwise the rays the row
+    sees negative are dropped, and each (+, -) pair that is adjacent -- no
+    third ray is tight on every row both are tight on -- is combined into a
+    new ray.  Rays are primitive integer vectors.  Returns (rays, their
+    zero sets as bit masks over rows, dimension of the lineality space).
+    """
+    lin = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rays, zeros = [], []
+    for i, g in enumerate(rows):
+        bit = 1 << i
+        l, s, lin = _meet(lin, g)
+        if l is not None:
+            rays = [primitive(tuple(s * a - t * b for a, b in zip(r, l)))
+                    for r, t in zip(rays, [dot(g, r) for r in rays])]
+            rays.append(l)
+            zeros = [z | bit for z in zeros] + [bit - 1]
             continue
-        if v0 == vmin:
-            found[(nvec, -v0)] = True
-        elif v0 == vmax:
-            found[(tuple(-x for x in nvec), v0)] = True
-    facets = tuple(sorted(found))
-    require(all(dot(n, p) >= -c for n, c in facets for p in pts),
-            "_facet_search: a point violates a found facet")
-    return facets
+        vals = [dot(g, r) for r in rays]
+        neg = [q for q, s in enumerate(vals) if s < 0]
+        if not neg:
+            zeros = [z | bit if s == 0 else z for z, s in zip(zeros, vals)]
+            continue
+        need = n - len(lin) - 2  # rows two adjacent rays share, at least
+        new_rays, new_zeros = [], []
+        for p, sp in enumerate(vals):
+            if sp <= 0:
+                continue
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < need or any(
+                        z & common == common for j, z in enumerate(zeros)
+                        if j != p and j != q):
+                    continue
+                sq = vals[q]
+                new_rays.append(primitive(tuple(
+                    sp * a - sq * b for a, b in zip(rays[q], rays[p]))))
+                new_zeros.append(common | bit)
+        keep = [j for j, s in enumerate(vals) if s >= 0]
+        rays = [rays[j] for j in keep] + new_rays
+        zeros = [zeros[j] | bit if vals[j] == 0 else zeros[j]
+                 for j in keep] + new_zeros
+    return rays, zeros, len(lin)
 
 
 def _hull_description(pts, d):
-    """(vertices, equations, facets) of conv(pts).
+    """(vertices, equations, facets) of conv(pts), pts sorted.
 
-    The hull is grown on a core: seed it with lexicographically tie-broken
-    coordinate extremes, describe the core's hull, then add the farthest
-    generator off each equation some generator is off, or else the deepest
-    violator (lex tie-break) of each violated facet, and repeat.  Every
-    point added is extreme in some lexicographic order, hence a vertex of
-    conv(pts).  At the fixpoint every generator satisfies the description,
-    so conv(core) = conv(pts) and the sorted core is the vertex set.
+    The equations are read off an affinely independent subset spanning the
+    affine hull, picked with integers only.  The facets are the extreme
+    rays (c, z) of the cone dual to the homogenized generators (1, y), with
+    y_k = <w_k, p> over a Z-basis w of the lattice orthogonal to the
+    equations, so the normal n = sum z_k w_k is primitive and orthogonal to
+    the equations.  A generator is a vertex when its set of facets is
+    contained in no other generator's set: the facets through a vertex meet
+    in it alone, so no other generator has the same set.
     """
-    core = set()
-    for i in range(d):
-        core.add(max(pts, key=lambda p: (p[i],) + p))
-        core.add(min(pts, key=lambda p: (p[i],) + p))
-    while True:
-        verts = sorted(core)
-        eqs = _affine_equations(verts, d)
-        facets = _facet_search(verts, eqs, d)
-        grown = False
-        for u, v in eqs:
-            out = [p for p in pts if dot(u, p) != v]
-            if out:
-                # any such point enlarges the affine hull of the core
-                core.add(max(out, key=lambda p: (abs(dot(u, p) - v),) + p))
-                grown = True
-        if not grown:
-            for n, c in facets:
-                out = [p for p in pts if dot(n, p) < -c]
-                if out:
-                    core.add(min(out, key=lambda p: (dot(n, p),) + p))
-                    grown = True
-        if not grown:
-            return tuple(verts), eqs, facets
+    lin = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)]
+    first = []
+    for i, p in enumerate(pts):
+        l, _, lin = _meet(lin, (1,) + p)
+        if l is not None:
+            first.append(i)
+            if not lin:
+                break
+    eqs = _affine_equations([pts[i] for i in first], d)
+    if len(eqs) == d:
+        return tuple(pts), eqs, ()
+    coords = pts
+    if eqs:
+        basis = integer_kernel_basis([list(u) for u, _ in eqs], d)
+        coords = [tuple(dot(w, p) for w in basis) for p in pts]
+    rays, zeros, nlin = _cone_rays([(1,) + y for y in coords],
+                                   d - len(eqs) + 1)
+    require(nlin == 0, "_hull_description: the generators do not span")
+    facets = []
+    for (_, *z), mask in zip(rays, zeros):
+        if eqs:
+            z = [dot(z, col) for col in zip(*basis)]
+        n = primitive(z)
+        on = (mask & -mask).bit_length() - 1  # a generator on the facet
+        facets.append((n, -dot(n, pts[on])))
+    # tight[i]: the facets pts[i] lies on, as a bit mask over the rays
+    tight = [sum(1 << f for f, mask in enumerate(zeros) if mask >> i & 1)
+             for i in range(len(pts))]
+    masks = set(tight)
+    verts = tuple(p for p, t in zip(pts, tight)
+                  if not any(t != o and t & o == t for o in masks))
+    return verts, eqs, tuple(sorted(facets))
 
 
 def _norm_volume(poly, memo):
-    """Normalized volume; memo holds the volumes of full-dimensional images
-    by (dim, vertices) for the length of one top-level call."""
-    da = poly.affine_dim
-    if da == 0:
+    """Normalized volume; memo holds the volumes of full-dimensional
+    polytopes by (dim, vertices) for the length of one top-level call.
+
+    A lower-dimensional polytope is measured through its image under
+    x -> (<w_k, x - v0>)_k, with w a Z-basis of the lattice orthogonal to
+    its equations.  That map sends the induced lattice onto a sublattice
+    of Z^affine_dim whose index is the Gram determinant det(<w_j, w_k>), so
+    the image's volume is that many times the polytope's.
+    """
+    if poly.affine_dim == 0:
         return 1
+    v0 = poly.vertices[0]
     if not poly.is_full_dim:
-        poly = poly.affine_lattice_image()
+        basis = integer_kernel_basis([list(u) for u, _ in poly.equations],
+                                     poly.ambient_dim)
+        image = LatticePolytope([tuple(dot(w, _sub(p, v0)) for w in basis)
+                                 for p in poly.vertices])
+        index = det_int([[dot(a, b) for b in basis] for a in basis])
+        vol, rest = divmod(_norm_volume(image, memo), index)
+        require(rest == 0, "_norm_volume: image volume is not a multiple of "
+                "the lattice index")
+        return vol
     key = (poly.ambient_dim, poly.vertices)
     hit = memo.get(key)
     if hit is not None:
         return hit
     # cone off the first vertex over the facets it does not lie on
-    v0 = poly.vertices[0]
     total = 0
     for n, c in poly.facets:
         h = dot(n, v0) + c  # lattice height of v0 over the facet (n primitive)
@@ -530,31 +573,26 @@ def halfspace_intersection_vertices(ineqs, dim):
 
     Raises ValueError when the region is unbounded (normals must positively
     span the space) or infeasible constraints with zero normal appear.
-    Vertices are returned as sorted tuples of Fractions.
+    Vertices are returned as sorted tuples of Fractions.  They come from
+    the extreme rays (t, t*y) of the cone cut out by the homogenized rows
+    (-b, a) and t >= 0; a ray with t = 0, or a line, is an unbounded
+    direction.
     """
-    rows = []
+    rows = [(1,) + (0,) * dim]
     for a, b in ineqs:
         a = tuple(int(x) for x in a)
+        b = Fraction(b)
         if all(x == 0 for x in a):
             if b > 0:
                 return []
             continue
-        rows.append((a, Fraction(b)))
-    if not rows:
+        rows.append((-b.numerator,) + tuple(b.denominator * x for x in a))
+    if len(rows) == 1:
         raise ValueError("halfspace intersection: no effective constraints")
-    normal_hull = LatticePolytope([a for a, _ in rows])
-    if not normal_hull.strictly_contains((0,) * dim):
+    rays, _, lin = _cone_rays(rows, dim + 1)
+    if lin or any(t == 0 for t, *_ in rays):
         raise ValueError("halfspace intersection: unbounded region")
-    verts = set()
-    for subset in combinations(rows, dim):
-        mat = [list(a) for a, _ in subset]
-        rhs = [b for _, b in subset]
-        y = solve_linear(mat, rhs)
-        if y is None:  # singular
-            continue
-        if all(dot(a, y) >= b for a, b in rows):
-            verts.add(y)
-    return sorted(verts)
+    return sorted(tuple(Fraction(x, t) for x in y) for t, *y in rays)
 
 
 def dual_nef_partition(nef):
@@ -575,11 +613,9 @@ def dual_nef_partition(nef):
             rhs = -1 if i == j else 0
             ineqs.extend((v, rhs) for v in poly.vertices)
         verts = halfspace_intersection_vertices(ineqs, d)
-        got = sorted(tuple(x for x in v) for v in verts)
-        want = sorted(tuple(Fraction(x) for x in v) for v in nabla.vertices)
-        require(got == want,
+        require(verts == list(nabla.vertices),
                 "dual part halfspace description disagrees with its hull; "
-                f"part {i}: {got} vs {want}")
+                f"part {i}: {verts} vs {list(nabla.vertices)}")
         nablas.append(nabla)
     delta_star = LatticePolytope(
         [p for nabla in nablas for p in nabla.points])

@@ -256,17 +256,19 @@ def mixed_residue(rf, h, k=None):
     return total
 
 
-def check_mixed_volume_identity(fs, nef):
+def check_mixed_volume_identity(fs, nef, rf=None):
     """Compare each top Hessian component's residue with a mixed volume.
 
     For every positive multidegree k at the top level, the residue of the
     k-component must equal the mixed volume of the parts taken with
     multiplicities k_i - 1, and the residues must sum to the Cayley volume.
-    Returns a report dict (CLI surface: `residue conjecture310`).
+    rf is the system's residue functional when the caller has solved it
+    already.  Returns a report dict (CLI surface: `residue conjecture310`).
     """
     from .polytope import mixed_volume
 
-    rf = residue_functional(fs, nef)
+    if rf is None:
+        rf = residue_functional(fs, nef)
     if not rf.regular:
         raise ValueError("system is not regular")
     d, r = nef.dim, nef.r

@@ -1,14 +1,18 @@
-"""Box-scan references for the library's lattice-point enumerator.
+"""Exhaustive references for the library's hulls and lattice points.
 
-Each lists every point of a bounding box and keeps those passing a
-membership test, one point at a time.  That is slow, but it shares no
-bound propagation with the enumerator it checks, so a differential test
-against it compares two independent routes, order included.
+The box scans list every point of a bounding box and keep those passing a
+membership test, one point at a time.  The facet search tries every
+affine_dim-subset of the generators as a facet, and the halfspace loop
+solves every dim-subset of the constraints.  All are slow, but they share
+no bound propagation or double description with the routines they check,
+so a differential test against them compares two independent routes.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
-from toricres.linalg import dot
+from toricres.linalg import det_int, dot, primitive, solve_linear
+from toricres.polytope import _affine_equations
 
 
 def box_scan(lo, hi, keep):
@@ -40,3 +44,67 @@ def reference_piece_points(nef, k):
     cuts = [(e, -m) for block, m in zip(nef.vertex_partition, k)
             for e in block]
     return box_scan(lo, hi, lambda x: all(dot(e, x) >= c for e, c in cuts))
+
+
+def cofactor_nullvector(rows, n):
+    """Kernel vector of n-1 integer rows in Z^n by signed maximal minors,
+    or None when the rows are dependent (all minors vanish)."""
+    out = [(-1) ** j * det_int([[x for i, x in enumerate(row) if i != j]
+                                for row in rows]) for j in range(n)]
+    return None if not any(out) else tuple(out)
+
+
+def facet_search(pts, equations, d):
+    """Facets (n, c) of conv(pts), sorted: every affine_dim-subset of pts
+    spans a candidate hyperplane inside the affine hull, kept when all of
+    pts lie on one side of it and not all on it."""
+    da = d - len(equations)
+    if da == 0:
+        return ()
+    eqrows = [list(u) for u, _ in equations]
+    found = set()
+    for subset in combinations(range(len(pts)), da):
+        q0 = pts[subset[0]]
+        rows = eqrows + [[a - b for a, b in zip(pts[i], q0)]
+                         for i in subset[1:]]
+        nvec = cofactor_nullvector(rows, d)
+        if nvec is None:
+            continue  # affinely dependent subset
+        nvec = primitive(nvec)
+        v0 = dot(nvec, q0)
+        vals = [dot(nvec, p) for p in pts]
+        if min(vals) == max(vals):
+            continue
+        if v0 == min(vals):
+            found.add((nvec, -v0))
+        elif v0 == max(vals):
+            found.add((tuple(-x for x in nvec), v0))
+    return tuple(sorted(found))
+
+
+def reference_halfspace_vertices(ineqs, dim):
+    """Vertices of {y : <a, y> >= b}, sorted tuples of Fractions: every
+    dim-subset of the constraints with a unique solution that meets all of
+    them.  The region is bounded when 0 lies strictly inside the hull of
+    the normals, by the facet search."""
+    rows = []
+    for a, b in ineqs:
+        a = tuple(int(x) for x in a)
+        if all(x == 0 for x in a):
+            if b > 0:
+                return []
+            continue
+        rows.append((a, Fraction(b)))
+    if not rows:
+        raise ValueError("halfspace intersection: no effective constraints")
+    normals = sorted({a for a, _ in rows})
+    eqs = _affine_equations(normals, dim)
+    if eqs or not all(c > 0 for _, c in facet_search(normals, eqs, dim)):
+        raise ValueError("halfspace intersection: unbounded region")
+    verts = set()
+    for subset in combinations(rows, dim):
+        y = solve_linear([list(a) for a, _ in subset],
+                         [b for _, b in subset])
+        if y is not None and all(dot(a, y) >= b for a, b in rows):
+            verts.add(y)
+    return sorted(verts)

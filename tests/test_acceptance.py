@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: eight timed criteria, exact equality only.
+"""End-to-end acceptance gate: ten timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -59,6 +59,23 @@ from toricres.series import RationalFunctionSpec, expand_rational, inv_factorial
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 PENTAGON_PARTS = [[(1, 0)], [(0, 1), (-1, -1)]]
+
+
+def product_parts(fam):
+    """Nef partition of a product of projective spaces: factor i gives the
+    rays e_1..e_{d_i} of its own coordinates and their negated sum, dealt
+    to the parts in order, matrix[i][j] of them to part j."""
+    n = sum(fam.dims)
+    parts = [[] for _ in fam.matrix[0]]
+    offset = 0
+    for di, row in zip(fam.dims, fam.matrix):
+        units = [tuple(int(j == offset + t) for j in range(n))
+                 for t in range(di)]
+        rays = iter(units + [tuple(-sum(c) for c in zip(*units))])
+        for part, count in zip(parts, row):
+            part.extend(next(rays) for _ in range(count))
+        offset += di
+    return parts
 
 
 def _run(num, limit, body):
@@ -335,3 +352,31 @@ def test_criterion_8_property_suites():
             assert outs[0] == outs[1]
 
     _run(8, 30.0, body)
+
+
+def test_criterion_9_p3xp3_nef_partition_and_dual():
+    def body():
+        nef = check_nef_partition(product_parts(P3XP3))
+        assert (nef.dim, nef.r) == (6, 3)
+        assert len(nef.delta.facets) == 23
+        assert all(c == 1 for _, c in nef.delta.facets)
+        assert [len(b) for b in nef.vertex_partition] == [4, 4, 15]
+        dual = dual_nef_partition(nef)
+        assert is_reflexive(dual.delta_star)
+        assert is_reflexive(dual.nabla_star)
+
+    _run(9, 1.0, body)
+
+
+def test_criterion_10_p4xp1_mixed_volume_identity():
+    def body():
+        nef = check_nef_partition(product_parts(P4XP1))
+        _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
+        rep = check_mixed_volume_identity(fs, nef, rf)
+        got = {row["k"]: row["residue"] for row in rep["rows"]}
+        assert got == {(1, 6): 0, (2, 5): 0, (3, 4): 0, (4, 3): 8,
+                       (5, 2): 2, (6, 1): 0}
+        assert all(row["equal"] for row in rep["rows"])
+        assert rep["sum"] == rep["vol"] == 10
+
+    _run(10, 5.0, body)

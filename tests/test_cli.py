@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from toricres import residue
 from toricres.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -325,6 +326,30 @@ def test_verify_trmc_wps(capsys):
     assert len(report["points"]) == 2
     assert all(p["equal"] for p in report["points"])
     assert "VERIFIED" in out.out
+
+
+def test_each_point_solves_its_functional_once(capsys, monkeypatch):
+    # the seeded draws below are regular at the first attempt, so every
+    # solve belongs to a point that is then checked
+    calls = []
+    solve = residue.solve_functional
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(residue, "solve_functional", counted)
+    code, report, _ = run(capsys, "verify", "trmc",
+                          "--family", fx("p2split.json"),
+                          "--poly", fx("x1x2.json"), "--order", "4")
+    assert code == 0 and len(report["points"]) == 2
+    assert len(calls) == 2
+    for argv in (("--coeffs", fx("a.json")), ("--seed", "3")):
+        calls.clear()
+        code, report, _ = run(capsys, "residue", "conjecture310",
+                              "--nefpart", fx("p2split.json"), *argv)
+        assert code == 0 and report["ok"]
+        assert len(calls) == 1
 
 
 def test_verify_trmc_product(capsys):

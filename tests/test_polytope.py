@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_lattice_points, reference_piece_points
+from reference import (
+    facet_search,
+    reference_halfspace_vertices,
+    reference_lattice_points,
+    reference_piece_points,
+)
 from toricres.laurent import compositions
 from toricres.linalg import dot, integer_kernel_basis, rank, solve_linear
 from toricres.mirror import WpsFamily, wps_nef_partition
@@ -16,12 +21,12 @@ from toricres.polytope import (
     LatticePolytope,
     NefPartitionError,
     _affine_equations,
-    _facet_search,
     cayley_polytope,
     check_nef_partition,
     convex_hull,
     dual_nef_partition,
     dual_polytope,
+    halfspace_intersection_vertices,
     interior_lattice_points,
     is_reflexive,
     lattice_points,
@@ -101,7 +106,7 @@ def reference_hull(pts, d):
     when the equations and the facets tight at it have rank d.  Cached,
     since the volume recursion asks again for the hull just compared."""
     eqs = _affine_equations(pts, d)
-    facets = _facet_search(pts, eqs, d)
+    facets = facet_search(pts, eqs, d)
     if len(eqs) == d:
         return eqs, facets, tuple(pts)
     eqrows = [list(u) for u, _ in eqs]
@@ -190,6 +195,41 @@ def test_grown_hull_matches_exhaustive_reference():
             vol if not eqs else 0), raw
         big += math.comb(len(pts), d - len(eqs)) > 3000
     assert big >= 10
+
+
+def halfspace_outcome(fn, ineqs, dim):
+    try:
+        return fn(ineqs, dim)
+    except ValueError as e:
+        return str(e)
+
+
+def test_halfspace_vertices_match_subset_reference():
+    # seeded systems in dimensions 1-4: the facets of a random polytope
+    # (bounded) plus random cuts (often unbounded or infeasible), and
+    # zero normals with positive, zero and negative right-hand sides
+    rng = random.Random(43)
+    kinds = {"vertices": 0, "infeasible": 0, "unbounded": 0, "none": 0}
+    for trial in range(240):
+        dim = rng.randint(1, 4)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim))
+               for _ in range(rng.randint(1, dim + 3))]
+        ineqs = [(n, -c) for n, c in LatticePolytope(pts).facets]
+        ineqs = rng.sample(ineqs, rng.randint(0, len(ineqs)))[:7]
+        for _ in range(rng.randint(0, 7 - len(ineqs))):
+            ineqs.append((tuple(rng.randint(-2, 2) for _ in range(dim)),
+                          Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+        if trial % 10 == 0:
+            ineqs.append(((0,) * dim, rng.randint(-1, 1)))
+        rng.shuffle(ineqs)
+        got = halfspace_outcome(halfspace_intersection_vertices, ineqs, dim)
+        want = halfspace_outcome(reference_halfspace_vertices, ineqs, dim)
+        assert got == want, (ineqs, dim)
+        if isinstance(got, str):
+            kinds["none" if "no effective" in got else "unbounded"] += 1
+        else:
+            kinds["vertices" if got else "infeasible"] += 1
+    assert min(kinds.values()) >= 3, kinds
 
 
 # ------------------------------------------------------------------ fixtures
@@ -642,10 +682,8 @@ def unimodular(draw, d):
 
 
 def point_sets(d):
-    # segments and triangles in dimension 3 keep the hulls of their
-    # Minkowski sums fast, and still give nonzero mixed volumes
     return st.lists(st.tuples(*[st.integers(-2, 2)] * d),
-                    min_size=2, max_size=5 if d < 3 else 3)
+                    min_size=2, max_size=5)
 
 
 def image(u, poly):
