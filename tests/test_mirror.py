@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,9 @@ def test_verify_family_validation():
     with pytest.raises(ValueError):
         verify_family(split_family(), 4, P=monomial(3, (1, 1, 0)),
                       points=[(1, 1, 1)])
+    with pytest.raises(ValueError, match="not both"):
+        verify_family(split_family(), 4, P=monomial(3, (1, 1, 0)),
+                      points=[(1, 1, 1), (1, 2, 3)], rng=random.Random(0))
 
 
 def test_verify_family_point_validation():
