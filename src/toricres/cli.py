@@ -19,11 +19,11 @@ from .jsonio import (
     laurent_json,
     load_coeffs_file,
     load_family_file,
-    load_json,
     load_laurent,
     load_manifest_file,
     load_nefpart_file,
     load_polytope_file,
+    load_polytopes_file,
     load_system_file,
     rat_str,
     series_json,
@@ -40,7 +40,6 @@ from .polytope import (
     NefPartitionError,
     cayley_polytope,
     check_nef_partition,
-    convex_hull,
     dual_nef_partition,
     dual_polytope,
     interior_lattice_points,
@@ -193,15 +192,7 @@ def cmd_hessian(args):
 
 
 def cmd_mixedvol(args):
-    data = load_json(args.polytopes)
-    if not isinstance(data, dict) or "polytopes" not in data:
-        raise InputError(f"{args.polytopes}: missing key 'polytopes'")
-    dim = data.get("dim")
-    if not isinstance(dim, int):
-        raise InputError(f"{args.polytopes}: missing integer key 'dim'")
-    polys = [convex_hull(p) for p in data["polytopes"]]
-    if any(p.ambient_dim != dim for p in polys):
-        raise InputError(f"{args.polytopes}: polytope dimension != {dim}")
+    dim, polys = load_polytopes_file(args.polytopes)
     if len(polys) != dim:
         raise InputError(
             f"{args.polytopes}: need exactly {dim} polytopes, got "

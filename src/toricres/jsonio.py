@@ -103,7 +103,15 @@ def load_polytope_file(path):
     data = load_json(path)
     dim = _need(data, "dim", path, int)
     points = _point_list(_need(data, "points", path, list), dim, path)
-    return LatticePolytope(points, dim)
+    return LatticePolytope(points)
+
+
+def load_polytopes_file(path):
+    """(dim, hulls) of a file listing one point list per polytope."""
+    data = load_json(path)
+    dim = _need(data, "dim", path, int)
+    return dim, [LatticePolytope(_point_list(pts, dim, f"{path} polytope {i}"))
+                 for i, pts in enumerate(_need(data, "polytopes", path, list))]
 
 
 def load_nefpart_file(path):

@@ -5,11 +5,12 @@ Hulls come from one exact double-description routine on integer rows: for
 a point set, the facets are the extreme rays of the cone dual to the
 homogenized generators (1, p), built one generator at a time; for a
 halfspace system, the vertices are the extreme rays of the cone cut out by
-its homogenized rows.  Volumes recurse over facets, each facet built from
-the vertices on it.  Lattice points come from one lazy enumerator over a
-system of cuts <x, e> >= c: it fixes one coordinate at a time and bounds it
-by every cut, with the later coordinates at their best over a bounding box,
-so each point it reaches is a point of the polytope.
+its homogenized rows.  Volumes sum |det| over a pulling triangulation read
+off the vertices and facets the hull already has, so no face is hulled
+again.  Lattice points come from one lazy enumerator over a system of cuts
+<x, e> >= c: it fixes one coordinate at a time and bounds it by every cut,
+with the later coordinates at their best over a bounding box, so each point
+it reaches is a point of the polytope.
 
 Conventions
 -----------
@@ -59,7 +60,7 @@ class LatticePolytope:
     __slots__ = ("ambient_dim", "points", "equations", "facets", "vertices",
                  "affine_dim")
 
-    def __init__(self, points, ambient_dim=None):
+    def __init__(self, points):
         pts = sorted({_as_point(p) for p in points})
         if not pts:
             raise ValueError("empty point set")
@@ -67,8 +68,6 @@ class LatticePolytope:
         if len(dims) != 1:
             raise ValueError("points of mixed dimension")
         d = dims.pop()
-        if ambient_dim is not None and ambient_dim != d:
-            raise ValueError("ambient_dim does not match the points")
         if d == 0:
             raise ValueError("ambient dimension must be positive")
         self.ambient_dim = d
@@ -99,15 +98,9 @@ class LatticePolytope:
         x = tuple(x)
         return all(dot(n, x) > -c for n, c in self.facets)
 
-    def normalized_volume(self, ambient=False):
-        """dim! times Euclidean volume in the induced affine-hull lattice.
-
-        With ambient=True the polytope is measured in the ambient dimension
-        instead, so anything lower-dimensional has volume 0.
-        """
-        if ambient and not self.is_full_dim:
-            return 0
-        return _norm_volume(self, {})
+    def normalized_volume(self):
+        """dim! times Euclidean volume in the induced affine-hull lattice."""
+        return _norm_volume(self)
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope)
@@ -254,43 +247,46 @@ def _hull_description(pts, d):
     return verts, eqs, tuple(sorted(facets))
 
 
-def _norm_volume(poly, memo):
-    """Normalized volume; memo holds the volumes of full-dimensional
-    polytopes by (dim, vertices) for the length of one top-level call.
+def _norm_volume(poly):
+    """Normalized volume, summed over a pulling triangulation read off the
+    facets (De Loera-Rambau-Santos, Triangulations, 2010).
 
-    A lower-dimensional polytope is measured through its image under
-    x -> (<w_k, x - v0>)_k, with w a Z-basis of the lattice orthogonal to
-    its equations.  That map sends the induced lattice onto a sublattice
-    of Z^affine_dim whose index is the Gram determinant det(<w_j, w_k>), so
-    the image's volume is that many times the polytope's.
+    A face is a bit mask over poly.vertices; facet (n, c) covers the
+    vertices with <n, v> = -c, and the facets of a face F are the
+    inclusion-maximal proper nonempty sets F & G over facets G.  Each face
+    is coned from its lowest vertex over its facets that miss that vertex,
+    down to single vertices, so every chain of faces is one simplex.  The
+    simplices are measured in the coordinates x -> (<w_k, x>)_k, with w a
+    Z-basis of the lattice orthogonal to the equations.  That map sends the
+    induced lattice onto a sublattice of Z^affine_dim whose index is the
+    Gram determinant det(<w_j, w_k>), so the sum of |det| is that many
+    times the polytope's volume.
     """
-    if poly.affine_dim == 0:
-        return 1
-    v0 = poly.vertices[0]
-    if not poly.is_full_dim:
+    verts = poly.vertices
+    index = 1
+    if poly.equations:
         basis = integer_kernel_basis([list(u) for u, _ in poly.equations],
                                      poly.ambient_dim)
-        image = LatticePolytope([tuple(dot(w, _sub(p, v0)) for w in basis)
-                                 for p in poly.vertices])
+        verts = [tuple(dot(w, p) for w in basis) for p in verts]
         index = det_int([[dot(a, b) for b in basis] for a in basis])
-        vol, rest = divmod(_norm_volume(image, memo), index)
-        require(rest == 0, "_norm_volume: image volume is not a multiple of "
-                "the lattice index")
-        return vol
-    key = (poly.ambient_dim, poly.vertices)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # cone off the first vertex over the facets it does not lie on
+    facets = [sum(1 << i for i, p in enumerate(poly.vertices)
+                  if dot(n, p) == -c) for n, c in poly.facets]
     total = 0
-    for n, c in poly.facets:
-        h = dot(n, v0) + c  # lattice height of v0 over the facet (n primitive)
-        if h == 0:
+    stack = [((1 << len(verts)) - 1, ())]
+    while stack:
+        face, apexes = stack.pop()
+        low = face & -face  # the face's lowest vertex, as a mask
+        v = low.bit_length() - 1
+        if face == low:
+            total += abs(det_int([_sub(verts[a], verts[v]) for a in apexes]))
             continue
-        face_pts = [p for p in poly.vertices if dot(n, p) == -c]
-        total += h * _norm_volume(LatticePolytope(face_pts), memo)
-    memo[key] = total
-    return total
+        subs = {face & g for g in facets} - {0, face}
+        stack.extend((f, apexes + (v,)) for f in subs if not f & low
+                     and not any(f != o and f & o == f for o in subs))
+    vol, rest = divmod(total, index)
+    require(rest == 0, "_norm_volume: simplex volumes do not sum to a "
+            "multiple of the lattice index")
+    return vol
 
 
 def _box(vertices):
@@ -394,7 +390,7 @@ def mixed_volume(polys) -> Fraction:
             vol = cache.get(key)
             if vol is None:
                 s = minkowski_sum_all([polys[i] for i in subset])
-                vol = s.normalized_volume(ambient=True)
+                vol = s.normalized_volume() if s.is_full_dim else 0
                 cache[key] = vol
             total += sign * vol
     v = Fraction(total, math.factorial(d))

@@ -39,6 +39,7 @@ from .linalg import NOT_UNIQUE, dot, require, solve_functional
 from .polytope import cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
+DRAW_ATTEMPTS = 50
 
 
 class GradedPieceBasis:
@@ -356,12 +357,13 @@ def system_from_coefficients(nef, coeffs):
     return fs
 
 
-def draw_regular_coefficients(nef, rng, attempts=50):
+def draw_regular_coefficients(nef, rng):
     """Random small positive coefficients giving a regular system.
 
-    Returns (coeffs, fs, rf); retries on non-regular draws.
+    Returns (coeffs, fs, rf); retries on non-regular draws, DRAW_ATTEMPTS
+    in all.
     """
-    for _ in range(attempts):
+    for _ in range(DRAW_ATTEMPTS):
         coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                   for _ in nef.points]
         fs = system_from_coefficients(nef, coeffs)

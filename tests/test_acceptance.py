@@ -220,7 +220,7 @@ def test_criterion_6_cayley_volume_decomposition():
                 for _ in range(r):
                     pts = [tuple(rng.randint(-2, 2) for _ in range(d))
                            for _ in range(rng.randint(2, 4))]
-                    polys.append(LatticePolytope(pts + [(0,) * d], d))
+                    polys.append(LatticePolytope(pts + [(0,) * d]))
                 cay = cayley_polytope(polys)
                 if cay.affine_dim == d + r - 1:
                     break
@@ -284,7 +284,7 @@ def test_criterion_8_property_suites():
         rng = random.Random(12)
         polys3 = [LatticePolytope(
             [tuple(rng.randint(-1, 2) for _ in range(3))
-             for _ in range(4)] + [(0, 0, 0)], 3) for _ in range(3)]
+             for _ in range(4)] + [(0, 0, 0)]) for _ in range(3)]
         base = mixed_volume(polys3)
         for _ in range(3):
             perm = polys3[:]

@@ -75,6 +75,7 @@ def test_missing_file_is_usage_error(capsys):
     (("polytope", "info", "--points"), '{"dim": true, "points": [[0], [3]]}'),
     (("nefpart", "check", "--nefpart"),
      '{"dim": false, "parts": [[[1, 0]], [[0, 1], [-1, -1]]]}'),
+    (("mixedvol", "--polytopes"), '{"dim": true, "polytopes": [[[0], [3]]]}'),
 ])
 def test_boolean_integers_are_rejected(tmp_path, capsys, argv, text):
     # JSON true loads as the Python int 1; it must not pass for dim 1

@@ -17,6 +17,7 @@ from toricres.jsonio import (
     load_manifest_file,
     load_nefpart_file,
     load_polytope_file,
+    load_polytopes_file,
     load_system_file,
     parse_rational,
     rat_str,
@@ -105,6 +106,8 @@ def test_string_integers_are_rejected(tmp_path):
          '{"dim": 2, "terms": [{"exp": ["1", 0], "coef": 1}]}'),
         (load_family_file,
          '{"dims": ["4", 1], "matrix": [[4, 1], [0, 2]]}'),
+        (load_polytopes_file, '{"dim": 1, "polytopes": [[["0"], [3]]]}'),
+        (load_polytopes_file, '{"dim": 1, "polytopes": [[[true], [3]]]}'),
     ]
     for i, (load, text) in enumerate(loads):
         path = write(tmp_path, f"s{i}.json", text)

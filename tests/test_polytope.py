@@ -16,6 +16,7 @@ from reference import (
 )
 from toricres.laurent import compositions
 from toricres.linalg import dot, integer_kernel_basis, rank, solve_linear
+from toricres import polytope
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
@@ -191,8 +192,6 @@ def test_grown_hull_matches_exhaustive_reference():
             eqs, facets, verts), raw
         vol = reference_volume(pts, {})
         assert poly.normalized_volume() == vol, raw
-        assert poly.normalized_volume(ambient=True) == (
-            vol if not eqs else 0), raw
         big += math.comb(len(pts), d - len(eqs)) > 3000
     assert big >= 10
 
@@ -241,6 +240,12 @@ PENTAGON_VERTICES = {(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1)}
 P4XP1_PARTS = [
     [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)],
     [(-1, -1, -1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, -1)],
+]
+# three-part decomposition in dimension 6 of P3 x P3 type
+P3XP3_PARTS = [
+    [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)],
+    [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)],
+    [(-1, -1, -1, 0, 0, 0), (0, 0, 0, -1, -1, -1)],
 ]
 
 
@@ -430,7 +435,6 @@ def test_normalized_volume_matches_shoelace_oracle():
 def test_normalized_volume_ambient_flag():
     seg = LatticePolytope([(0, 0), (3, 0)])
     assert seg.normalized_volume() == 3          # length in the hull lattice
-    assert seg.normalized_volume(ambient=True) == 0
 
 
 def test_normalized_volume_in_sublattice_hyperplane():
@@ -477,6 +481,31 @@ def test_normalized_volume_matches_ehrhart_differences():
     assert sum(p.affine_dim == p.ambient_dim - 1 > 1 for p in cases) >= 6
     for p in cases:
         assert p.normalized_volume() == ehrhart_volume(p), p
+
+
+@pytest.mark.parametrize("parts, volumes", [
+    (P4XP1_PARTS, (90, 10, 906)),
+    (P3XP3_PARTS, (1190, 16, 1961)),
+])
+def test_paper_scale_volumes(parts, volumes):
+    # Delta, its Cayley polytope and its dual, at the values the facet
+    # recursion measured before the pulling triangulation replaced it
+    nef = check_nef_partition(parts)
+    assert (nef.delta.normalized_volume(),
+            cayley_polytope(nef.polytopes).normalized_volume(),
+            dual_polytope(nef.delta).normalized_volume()) == volumes
+
+
+def test_normalized_volume_builds_no_hull(monkeypatch):
+    # the triangulation is read off the hull's own facets and vertices
+    nef = check_nef_partition(P4XP1_PARTS)
+    cay = cayley_polytope(nef.polytopes)
+    calls = []
+    hull = polytope._hull_description
+    monkeypatch.setattr(polytope, "_hull_description",
+                        lambda *a: calls.append(a) or hull(*a))
+    assert (nef.delta.normalized_volume(), cay.normalized_volume()) == (90, 10)
+    assert calls == []
 
 
 def test_cayley_polytope_r1_is_height_one_copy():
