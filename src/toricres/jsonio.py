@@ -87,6 +87,9 @@ def _int_tuple(values, where):
 
 
 def _point_list(values, dim, where):
+    if not isinstance(values, list):
+        raise InputError(f"{where}: expected a list of points, got "
+                         f"{values!r}")
     points = []
     for p in values:
         pt = _int_tuple(p, where)

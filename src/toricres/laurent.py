@@ -295,20 +295,30 @@ def multidegree_component(f, k, r):
         f.dim, {e: c for e, c in f.terms.items() if e[d:] == k})
 
 
-def compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to total, lex order."""
+def compositions(total, parts, caps=None):
+    """All tuples of `parts` nonnegative ints summing to total, lex order;
+    entry i is at most caps[i] when caps is given."""
     if parts < 0 or total < 0:
         raise ValueError("compositions: negative input")
+    caps = [total] * parts if caps is None else list(caps)
+    if len(caps) != parts:
+        raise ValueError("compositions: one cap per part")
+    room = [0] * (parts + 1)  # room[i]: the most entries i.. can take
+    for i in range(parts - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if total > room[0]:
+        return []
     if parts == 0:
-        return [()] if total == 0 else []
+        return [()]
     out = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
+    def rec(prefix, remaining, i):
+        if i == parts - 1:
             out.append(prefix + (remaining,))
             return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-    rec((), total, parts)
+        lo = max(0, remaining - room[i + 1])
+        for v in range(lo, min(remaining, caps[i]) + 1):
+            rec(prefix + (v,), remaining - v, i + 1)
+    rec((), total, 0)
     return out
 
 

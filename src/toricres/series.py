@@ -218,15 +218,18 @@ def linear_form_power_coefficient(forms, target):
     """Coefficient of z^target in prod_j (sum_i v_{ji} z_i)^(e_j).
 
     forms: list of (coefficient vector over the z variables, exponent e_j).
-    Expanded incrementally; partial products are pruned to exponents that
-    stay componentwise <= target, which is safe because exponents only ever
-    grow.
+    Every form is homogeneous linear, so only a nonnegative target of total
+    degree sum_j e_j can have a nonzero coefficient.  Each power is
+    expanded by the multinomial theorem, e!/prod m_i! * prod v_i^m_i, over
+    the compositions m that fit under target minus the exponent built so
+    far and vanish where v_i = 0; the forms are convolved in order, and the
+    last one contributes its single term m = target - (partial exponent).
+    Integer entries stay integers until the one Fraction of the result.
+    This route is independent of the closed forms and their expansions.
     """
     target = tuple(int(x) for x in target)
-    if any(x < 0 for x in target):
-        return Fraction(0)
     nvars = len(target)
-    current = {(0,) * nvars: Fraction(1)}
+    clean = []
     for vec, e in forms:
         vec = [Fraction(x) for x in vec]
         if len(vec) != nvars:
@@ -234,15 +237,37 @@ def linear_form_power_coefficient(forms, target):
         e = int(e)
         if e < 0:
             raise ValueError("negative power of a linear form")
-        for _ in range(e):
-            nxt = {}
-            for mono, coef in current.items():
-                for i, vi in enumerate(vec):
-                    if vi == 0 or mono[i] + 1 > target[i]:
-                        continue
-                    m = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                    nxt[m] = nxt.get(m, Fraction(0)) + coef * vi
-            current = nxt
-            if not current:
-                return Fraction(0)
-    return current.get(target, Fraction(0))
+        clean.append(([int(v) if v.denominator == 1 else v for v in vec], e))
+    if any(x < 0 for x in target) or sum(target) != sum(e for _, e in clean):
+        return Fraction(0)
+    if not clean:
+        return Fraction(1)
+    fact = [1]
+    for i in range(1, max(e for _, e in clean) + 1):
+        fact.append(fact[-1] * i)
+
+    def term(vec, e, m):
+        coef = fact[e]
+        for mi in m:
+            coef //= fact[mi]
+        for v, mi in zip(vec, m):
+            if mi:
+                coef *= v ** mi
+        return coef
+
+    current = {(0,) * nvars: 1}
+    for vec, e in clean[:-1]:
+        nxt = {}
+        for mono, coef in current.items():
+            caps = [t - x if v else 0 for t, x, v in zip(target, mono, vec)]
+            for m in compositions(e, nvars, caps):
+                key = tuple(x + mi for x, mi in zip(mono, m))
+                nxt[key] = nxt.get(key, 0) + coef * term(vec, e, m)
+        current = nxt
+    vec, e = clean[-1]
+    total = 0
+    for mono, coef in current.items():
+        m = [t - x for t, x in zip(target, mono)]
+        if all(mi == 0 or v for v, mi in zip(vec, m)):
+            total += coef * term(vec, e, m)
+    return Fraction(total)

@@ -1,11 +1,13 @@
-"""Exhaustive references for the library's hulls and lattice points.
+"""Exhaustive references for the library's hulls, lattice points and series.
 
 The box scans list every point of a bounding box and keep those passing a
 membership test, one point at a time.  The facet search tries every
 affine_dim-subset of the generators as a facet, and the halfspace loop
-solves every dim-subset of the constraints.  All are slow, but they share
-no bound propagation or double description with the routines they check,
-so a differential test against them compares two independent routes.
+solves every dim-subset of the constraints.  The linear-form coefficient
+multiplies in one linear factor at a time.  All are slow, but they share
+no bound propagation, double description or multinomial expansion with
+the routines they check, so a differential test against them compares two
+independent routes.
 """
 
 from fractions import Fraction
@@ -108,3 +110,29 @@ def reference_halfspace_vertices(ineqs, dim):
         if y is not None and all(dot(a, y) >= b for a, b in rows):
             verts.add(y)
     return sorted(verts)
+
+
+def reference_linear_form_coefficient(forms, target):
+    """Coefficient of z^target in prod_j (sum_i v_{ji} z_i)^(e_j), one
+    linear factor at a time; partial products are pruned to exponents that
+    stay componentwise <= target, which is safe because exponents only
+    ever grow."""
+    target = tuple(int(x) for x in target)
+    nvars = len(target)
+    forms = [([Fraction(x) for x in vec], int(e)) for vec, e in forms]
+    if any(len(vec) != nvars or e < 0 for vec, e in forms):
+        raise ValueError("malformed linear form")
+    if any(x < 0 for x in target):
+        return Fraction(0)
+    current = {(0,) * nvars: Fraction(1)}
+    for vec, e in forms:
+        for _ in range(e):
+            nxt = {}
+            for mono, coef in current.items():
+                for i, vi in enumerate(vec):
+                    if vi == 0 or mono[i] + 1 > target[i]:
+                        continue
+                    m = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    nxt[m] = nxt.get(m, Fraction(0)) + coef * vi
+            current = nxt
+    return current.get(target, Fraction(0))

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: ten timed criteria, exact equality only.
+"""End-to-end acceptance gate: eleven timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -380,3 +380,13 @@ def test_criterion_10_p4xp1_mixed_volume_identity():
         assert rep["sum"] == rep["vol"] == 10
 
     _run(10, 5.0, body)
+
+
+def test_criterion_11_product_families_at_order_24():
+    def body():
+        # the termwise series equals the closed-form fixture to order 24
+        for fam in (P3XP3, P4XP1):
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                assert verify_family(fam, 24, k=k)["ok"]
+
+    _run(11, 3.0, body)

@@ -87,6 +87,21 @@ def test_boolean_integers_are_rejected(tmp_path, capsys, argv, text):
     assert "key 'dim' has the wrong type" in out.err
 
 
+@pytest.mark.parametrize("argv, text, where", [
+    (("nefpart", "check", "--nefpart"), '{"dim": 1, "parts": [5]}',
+     "part 0"),
+    (("mixedvol", "--polytopes"), '{"dim": 1, "polytopes": [5]}',
+     "polytope 0"),
+])
+def test_point_list_must_be_a_list(tmp_path, capsys, argv, text, where):
+    p = tmp_path / "n.json"
+    p.write_text(text)
+    code, report, out = run(capsys, *argv, str(p))
+    assert code == 1
+    assert report is None
+    assert f"n.json {where}: expected a list of points" in out.err
+
+
 def test_malformed_json_position(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"dim": 2,\n "points": [[1,]]}')

@@ -243,6 +243,16 @@ def test_compositions():
     assert positive_compositions(2, 3) == []
     with pytest.raises(ValueError):
         compositions(-1, 2)
+    # caps bound each entry; every capped composition is one of the full
+    # list, in the same order
+    for total, caps in ((4, (2, 0, 3)), (5, (1, 1, 1)), (3, (3, 2, 0, 1))):
+        full = compositions(total, len(caps))
+        assert compositions(total, len(caps), caps) == [
+            m for m in full if all(x <= c for x, c in zip(m, caps))]
+    assert compositions(3, 2, (1, 1)) == []
+    assert compositions(0, 0, ()) == [()]
+    with pytest.raises(ValueError):
+        compositions(2, 2, (1,))
 
 
 def test_monomial_helper():

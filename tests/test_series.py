@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from reference import reference_linear_form_coefficient
 from toricres.series import (
     RationalFunctionSpec,
     TruncatedSeries,
@@ -204,6 +205,12 @@ def test_linear_form_validation():
         linear_form_power_coefficient([((1,), 2)], (1, 1))
     with pytest.raises(ValueError):
         linear_form_power_coefficient([((1, 1), -2)], (1, 1))
+    # a malformed later form is refused even when the coefficient is
+    # already known to be 0
+    with pytest.raises(ValueError):
+        linear_form_power_coefficient([((1, 0), 1), ((1,), -2)], (0, 1))
+    with pytest.raises(ValueError):
+        linear_form_power_coefficient([((1, 0), 1), ((1, 1), -2)], (-1, 1))
 
 
 def test_linear_form_completeness():
@@ -223,6 +230,36 @@ def test_linear_form_completeness():
                 c = total - a - b
                 acc += linear_form_power_coefficient(forms, (a, b, c))
         assert acc == value
+
+
+def test_linear_form_matches_factor_by_factor_reference():
+    rng = random.Random(9)
+
+    def entry():
+        r = rng.random()
+        if r < 0.25:
+            return 0
+        if r < 0.45:
+            return Fraction(rng.randint(-5, 5), rng.randint(2, 4))
+        return rng.randint(-4, 4)
+
+    nonzero = 0
+    for case in range(400):
+        nvars = 1 + case % 3
+        forms = [([entry() for _ in range(nvars)], rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 4))]
+        if case % 5 == 0:
+            # off the total degree, possibly negative
+            target = [rng.randint(-2, 5) for _ in range(nvars)]
+        else:
+            target = [0] * nvars
+            for _ in range(sum(e for _, e in forms)):
+                target[rng.randrange(nvars)] += 1
+        got = linear_form_power_coefficient(forms, target)
+        assert isinstance(got, Fraction)
+        assert got == reference_linear_form_coefficient(forms, target)
+        nonzero += got != 0
+    assert nonzero > 150
 
 
 def test_inv_factorial():
