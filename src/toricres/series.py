@@ -1,23 +1,52 @@
 """Truncated multivariate power series over exact rationals.
 
-Truncation is by total degree.  Rational functions are expanded by direct
-coefficient recurrences (constant-term division), and every expansion is
-re-multiplied against its denominator as a mandatory residual check, so a
-wrong expansion cannot escape this module.
+Truncation is by total degree.  A rational function N / prod F_i^m_i is
+expanded by one integer recurrence.  Denominators are cleared once:
+N = N'/L and F_i = F_i'/M_i with integer N' and F_i', and D is the
+product of the F_i'^m_i truncated to the order, with c = D(0).  After the
+substitution y -> c*y, Q = c * N'(cy) / D(cy) has integer coefficients,
+
+    Q_e = c^|e| n'_e - sum_{g != 0} D_g c^(|g|-1) Q_(e-g),
+
+and the expansion is q_e = (prod M_i^m_i / L) * Q_e / c^(|e|+1), one
+Fraction per coefficient.  Before it is returned, Q is multiplied by each
+F_i'(cy) in turn, in integers, and must give c * N'(cy): a mandatory
+residual check that shares nothing with the recurrence but the input, so
+a wrong expansion cannot escape this module.
+
+Orders, exponents and multiplicities must be ints, and coefficients ints
+or Fractions; a float is refused with a TypeError naming the argument.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from .laurent import compositions
 from .linalg import require
 
 
+def _int(x, what):
+    """x itself when it is an int (not a bool), else a TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"{what} must be an integer, got {x!r}")
+
+
+def _coef(x, what):
+    """x as a Fraction when it is an int (not a bool) or a Fraction."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"{what} must be an int or Fraction, got {x!r}")
+
+
 def inv_factorial(n):
     """1/n! with the convention that negative integers give 0."""
-    n = int(n)
+    n = _int(n, "n")
     if n < 0:
         return Fraction(0)
     return Fraction(1, math.factorial(n))
@@ -25,13 +54,14 @@ def inv_factorial(n):
 
 def _clean_poly(nvars, mapping, what):
     clean = {}
+    what_exp, what_coef = f"{what} exponent entry", f"{what} coefficient"
     for exp, coef in mapping.items():
-        exp = tuple(int(x) for x in exp)
+        exp = tuple(_int(x, what_exp) for x in exp)
         if len(exp) != nvars:
             raise ValueError(f"{what}: exponent {exp} has wrong length")
         if any(x < 0 for x in exp):
             raise ValueError(f"{what}: negative exponent {exp}")
-        coef = Fraction(coef)
+        coef = _coef(coef, what_coef)
         if coef != 0:
             clean[exp] = coef
     return clean
@@ -43,8 +73,8 @@ class TruncatedSeries:
     __slots__ = ("nvars", "order", "coeffs")
 
     def __init__(self, nvars, order, coeffs=None):
-        nvars = int(nvars)
-        order = int(order)
+        nvars = _int(nvars, "nvars")
+        order = _int(order, "order")
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         if order < 0:
@@ -56,11 +86,23 @@ class TruncatedSeries:
             self, "coeffs",
             {e: c for e, c in clean.items() if sum(e) <= order})
 
+    @classmethod
+    def _exact(cls, nvars, order, coeffs):
+        """A series of data that is exact already: int nvars >= 1 and
+        order >= 0, tuple exponents of total degree <= order, nonzero
+        Fraction coefficients.  Nothing is checked or copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("TruncatedSeries is immutable")
 
     def coefficient(self, exp):
-        return self.coeffs.get(tuple(int(x) for x in exp), Fraction(0))
+        return self.coeffs.get(tuple(_int(x, "exponent entry") for x in exp),
+                               Fraction(0))
 
     def _join(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -71,24 +113,27 @@ class TruncatedSeries:
 
     def __add__(self, other):
         order = self._join(other)
-        coeffs = dict(self.coeffs)
+        coeffs = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
         for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return TruncatedSeries(self.nvars, order, coeffs)
+            if sum(e) <= order:
+                coeffs[e] = coeffs.get(e, 0) + c
+        return TruncatedSeries._exact(
+            self.nvars, order, {e: c for e, c in coeffs.items() if c})
 
     def __neg__(self):
-        return TruncatedSeries(self.nvars, self.order,
-                               {e: -c for e, c in self.coeffs.items()})
+        return TruncatedSeries._exact(
+            self.nvars, self.order, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            scalar = Fraction(other)
-            return TruncatedSeries(
+            scalar = _coef(other, "scalar")
+            return TruncatedSeries._exact(
                 self.nvars, self.order,
-                {e: c * scalar for e, c in self.coeffs.items()})
+                {e: c * scalar for e, c in self.coeffs.items()}
+                if scalar else {})
         order = self._join(other)
         coeffs = {}
         for e1, c1 in self.coeffs.items():
@@ -98,9 +143,10 @@ class TruncatedSeries:
             for e2, c2 in other.coeffs.items():
                 if d1 + sum(e2) > order:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c1 * c2
-        return TruncatedSeries(self.nvars, order, coeffs)
+                e = tuple(map(add, e1, e2))
+                coeffs[e] = coeffs.get(e, 0) + c1 * c2
+        return TruncatedSeries._exact(
+            self.nvars, order, {e: c for e, c in coeffs.items() if c})
 
     __rmul__ = __mul__
 
@@ -129,13 +175,13 @@ class RationalFunctionSpec:
     __slots__ = ("nvars", "numerator", "denominator_factors")
 
     def __init__(self, nvars, numerator, denominator_factors):
-        nvars = int(nvars)
+        nvars = _int(nvars, "nvars")
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
         num = _clean_poly(nvars, numerator, "numerator")
         factors = []
         for fac, mult in denominator_factors:
-            mult = int(mult)
+            mult = _int(mult, "factor multiplicity")
             if mult < 1:
                 raise ValueError("factor multiplicity must be >= 1")
             fac = _clean_poly(nvars, fac, "denominator factor")
@@ -152,7 +198,7 @@ class RationalFunctionSpec:
 
     def evaluate(self, values):
         """Exact value at a point where no denominator factor vanishes."""
-        values = [Fraction(v) for v in values]
+        values = [_coef(v, "value") for v in values]
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
 
@@ -174,44 +220,87 @@ class RationalFunctionSpec:
         return result
 
 
-def _divide(series, factor, order):
-    """series / factor as a TruncatedSeries, by graded coefficient recurrence."""
-    nvars = series.nvars
-    c0 = factor[(0,) * nvars]
-    rest = {e: c for e, c in factor.items() if any(e)}
-    q = {}
-    for total in range(order + 1):
-        for e in compositions(total, nvars):
-            acc = series.coeffs.get(e, Fraction(0))
-            for f, cf in rest.items():
-                g = tuple(a - b for a, b in zip(e, f))
-                if any(x < 0 for x in g):
-                    continue
-                acc -= cf * q.get(g, Fraction(0))
-            if acc != 0:
-                q[e] = acc / c0
-    return TruncatedSeries(nvars, order, q)
+def _integral(poly):
+    """(P, L) with poly = P / L, P an integer map and L the least common
+    denominator of poly's coefficients."""
+    lcd = math.lcm(*(c.denominator for c in poly.values()))
+    return {e: c.numerator * (lcd // c.denominator)
+            for e, c in poly.items()}, lcd
+
+
+def _truncated_product(a, b, order):
+    """a * b for integer exponent maps, without terms of degree > order."""
+    small = [(e, c, sum(e)) for e, c in b.items()]
+    out = {}
+    for e1, c1 in a.items():
+        room = order - sum(e1)
+        for e2, c2, d2 in small:
+            if d2 <= room:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _denominator(nvars, factors, order):
+    """prod F^m over the (integer map F, m) pairs, to the given order."""
+    out = {(0,) * nvars: 1}
+    for fac, mult in factors:
+        for _ in range(mult):
+            out = _truncated_product(out, fac, order)
+    return out
 
 
 def expand_rational(spec, order):
     """Expand numerator / prod(factor^mult) to the given total order.
 
-    The result is multiplied back by the denominator and compared against
-    the numerator, exactly, before being returned.
+    One integer recurrence in y -> c*y (see the module docstring); the
+    integer expansion is multiplied back by each factor and compared
+    against the numerator, exactly, before the result is returned.
     """
-    order = int(order)
-    out = TruncatedSeries(spec.nvars, order, spec.numerator)
+    if not isinstance(spec, RationalFunctionSpec):
+        raise TypeError("expected a RationalFunctionSpec")
+    order = _int(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    nvars = spec.nvars
+    num, scale_den = _integral(spec.numerator)
+    scale_num = 1
+    factors = []
     for fac, mult in spec.denominator_factors:
+        fac, lcd = _integral(fac)
+        factors.append((fac, mult))
+        scale_num *= lcd ** mult
+    den = _denominator(nvars, factors, order)
+    zero = (0,) * nvars
+    c = den[zero]
+    cpow = [1]
+    for _ in range(order + 1):
+        cpow.append(cpow[-1] * c)
+    rest = [(g, d * cpow[sum(g) - 1]) for g, d in den.items() if g != zero]
+    q = {}
+    for total in range(order + 1):
+        ct = cpow[total]
+        for e in compositions(total, nvars):
+            acc = num.get(e, 0) * ct
+            for g, d in rest:
+                prev = q.get(tuple(map(sub, e, g)))
+                if prev:
+                    acc -= d * prev
+            if acc:
+                q[e] = acc
+    check = q
+    for fac, mult in factors:
+        scaled = {g: f * cpow[sum(g)] for g, f in fac.items()
+                  if sum(g) <= order}
         for _ in range(mult):
-            out = _divide(out, fac, order)
-    check = out
-    for fac, mult in spec.denominator_factors:
-        fac_series = TruncatedSeries(spec.nvars, order, fac)
-        for _ in range(mult):
-            check = check * fac_series
-    require(check == TruncatedSeries(spec.nvars, order, spec.numerator),
+            check = _truncated_product(check, scaled, order)
+    require(check == {e: n * cpow[sum(e) + 1] for e, n in num.items()
+                      if sum(e) <= order},
             "expand_rational: expansion * denominator != numerator")
-    return out
+    return TruncatedSeries._exact(
+        nvars, order,
+        {e: Fraction(scale_num * v, scale_den * cpow[sum(e) + 1])
+         for e, v in q.items()})
 
 
 def linear_form_power_coefficient(forms, target):
@@ -227,14 +316,14 @@ def linear_form_power_coefficient(forms, target):
     Integer entries stay integers until the one Fraction of the result.
     This route is independent of the closed forms and their expansions.
     """
-    target = tuple(int(x) for x in target)
+    target = tuple(_int(x, "target entry") for x in target)
     nvars = len(target)
     clean = []
     for vec, e in forms:
-        vec = [Fraction(x) for x in vec]
+        vec = [_coef(x, "linear form entry") for x in vec]
         if len(vec) != nvars:
             raise ValueError("linear form length mismatch")
-        e = int(e)
+        e = _int(e, "linear form power")
         if e < 0:
             raise ValueError("negative power of a linear form")
         clean.append(([int(v) if v.denominator == 1 else v for v in vec], e))

@@ -4,17 +4,20 @@ The box scans list every point of a bounding box and keep those passing a
 membership test, one point at a time.  The facet search tries every
 affine_dim-subset of the generators as a facet, and the halfspace loop
 solves every dim-subset of the constraints.  The linear-form coefficient
-multiplies in one linear factor at a time.  All are slow, but they share
-no bound propagation, double description or multinomial expansion with
-the routines they check, so a differential test against them compares two
-independent routes.
+multiplies in one linear factor at a time, and the rational expansion
+divides by one denominator factor at a time in Fractions.  All are slow,
+but they share no bound propagation, double description, multinomial
+expansion or integer recurrence with the routines they check, so a
+differential test against them compares two independent routes.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from toricres.laurent import compositions
 from toricres.linalg import det_int, dot, primitive, solve_linear
 from toricres.polytope import _affine_equations
+from toricres.series import TruncatedSeries
 
 
 def box_scan(lo, hi, keep):
@@ -136,3 +139,28 @@ def reference_linear_form_coefficient(forms, target):
                     nxt[m] = nxt.get(m, Fraction(0)) + coef * vi
             current = nxt
     return current.get(target, Fraction(0))
+
+
+def reference_expand_rational(spec, order):
+    """numerator / prod(factor^mult) to the given total order, dividing by
+    one factor at a time: each division is the graded recurrence
+    q_e = (s_e - sum_{f != 0} F_f q_(e-f)) / F_0 over Fractions."""
+    nvars = spec.nvars
+    out = TruncatedSeries(nvars, order, spec.numerator)
+    for fac, mult in spec.denominator_factors:
+        c0 = fac[(0,) * nvars]
+        rest = {e: c for e, c in fac.items() if any(e)}
+        for _ in range(mult):
+            q = {}
+            for total in range(order + 1):
+                for e in compositions(total, nvars):
+                    acc = out.coeffs.get(e, Fraction(0))
+                    for f, cf in rest.items():
+                        g = tuple(a - b for a, b in zip(e, f))
+                        if any(x < 0 for x in g):
+                            continue
+                        acc -= cf * q.get(g, Fraction(0))
+                    if acc != 0:
+                        q[e] = acc / c0
+            out = TruncatedSeries(nvars, order, q)
+    return out

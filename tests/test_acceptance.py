@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: eleven timed criteria, exact equality only.
+"""End-to-end acceptance gate: twelve timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -390,3 +390,16 @@ def test_criterion_11_product_families_at_order_24():
                 assert verify_family(fam, 24, k=k)["ok"]
 
     _run(11, 3.0, body)
+
+
+def test_criterion_12_fixture_expansions_at_order_60():
+    def body():
+        # every bundled closed form expands to order 60; expand_rational
+        # refuses an expansion that fails its residual check
+        fixtures = [(name, k) for name in ("P3xP3", "P4xP1")
+                    for k in ((3, 0), (2, 1), (1, 2), (0, 3))]
+        for name, k in fixtures + [("wps_diag", (3, 3))]:
+            s = expand_rational(yukawa_fixture(name, k), 60)
+            assert s.order == 60 and s.coeffs
+
+    _run(12, 1.5, body)

@@ -304,6 +304,22 @@ def test_library_has_no_assert_statement():
         assert not lines, f"{path}: assert statements at lines {lines}"
 
 
+def test_library_has_no_float():
+    # the README's claim: arithmetic is exact, with no floats anywhere
+    pattern = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "toricres", "*.py")
+    paths = sorted(glob.glob(pattern))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        lines = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, float)
+                 or isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                 and n.func.id == "float"]
+        assert not lines, f"{path}: float literal or call at lines {lines}"
+
+
 def test_library_has_no_module_level_mutable_container():
     # a module-level dict, list or set outlives every call: a global cache
     # by another name.  __all__ and the cli dispatch table are fixed data.

@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from reference import reference_linear_form_coefficient
+from reference import (
+    reference_expand_rational,
+    reference_linear_form_coefficient,
+)
+from toricres.laurent import LaurentPolynomial
+from toricres.mirror import WpsFamily, wps_closed_form, yukawa_fixture
 from toricres.series import (
     RationalFunctionSpec,
     TruncatedSeries,
@@ -53,6 +61,9 @@ def test_add_and_mul_truncate_to_min_order():
     a = one_var(5, {0: 1, 1: 1})
     b = one_var(2, {2: 1})
     assert (a + b).order == 2
+    assert b + a == one_var(2, {0: 1, 1: 1, 2: 1})
+    assert a + one_var(2, {}) == one_var(2, {0: 1, 1: 1})
+    assert one_var(2, {}) + one_var(5, {4: 1}) == one_var(2, {})
     # degree-3 product term falls outside the shared window
     assert a * b == one_var(2, {2: 1})
 
@@ -165,6 +176,13 @@ def test_rational_function_evaluate():
         spec.evaluate([Fraction(1, 4)])
 
 
+def test_expand_rational_needs_a_spec_and_a_nonnegative_order():
+    with pytest.raises(TypeError):
+        expand_rational({(0,): 1}, 3)
+    with pytest.raises(ValueError):
+        expand_rational(GEOMETRIC, -1)
+
+
 def test_expansion_times_denominator_recovers_numerator():
     rng = random.Random(11)
     for _ in range(5):
@@ -179,6 +197,147 @@ def test_expansion_times_denominator_recovers_numerator():
         s = expand_rational(spec, order)
         back = s * TruncatedSeries(2, order, fac) * TruncatedSeries(2, order, fac)
         assert back == TruncatedSeries(2, order, num)
+
+
+def random_spec(rng, nvars):
+    """A seeded spec: rational numerator and factor coefficients, constant
+    terms +-1, 2, -5 or p/q, multiplicities 1 to 3."""
+    def coef():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-5, 5), rng.randint(2, 6))
+        return rng.randint(-4, 4)
+
+    def exponent(top):
+        return tuple(rng.randint(0, top) for _ in range(nvars))
+
+    consts = [1, -1, 2, -5, Fraction(3, 4), Fraction(-2, 7)]
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    num = {exponent(2): coef() for _ in range(rng.randint(1, 3))}
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        fac = {exponent(2): coef() for _ in range(rng.randint(0, 2))}
+        fac.update((u, coef()) for u in units if rng.random() < 0.7)
+        fac[(0,) * nvars] = rng.choice(consts)
+        factors.append((fac, rng.randint(1, 3)))
+    return RationalFunctionSpec(nvars, num, factors)
+
+
+def test_expand_rational_matches_division_reference():
+    rng = random.Random(5)
+    nonzero = 0
+    for case in range(150):
+        nvars = 1 + case % 3
+        spec = random_spec(rng, nvars)
+        order = rng.randint(0, 8)
+        got = expand_rational(spec, order)
+        assert got == reference_expand_rational(spec, order)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        nonzero += len(got.coeffs)
+    assert nonzero > 1200
+
+
+def test_expand_rational_matches_reference_on_fixtures():
+    fixtures = [(name, k) for name in ("P3xP3", "P4xP1")
+                for k in ((3, 0), (2, 1), (1, 2), (0, 3))]
+    for name, k in fixtures + [("wps_diag", (3, 3))]:
+        spec = yukawa_fixture(name, k)
+        assert expand_rational(spec, 40) == reference_expand_rational(spec, 40)
+    quintic = WpsFamily((1, 1, 1, 1, 1), ((0, 1, 2, 3, 4),))
+    spec = wps_closed_form(quintic,
+                           LaurentPolynomial(5, {(0, 1, 1, 1, 1): 1}))
+    assert expand_rational(spec, 400) == reference_expand_rational(spec, 400)
+
+
+def test_expand_rational_builds_one_fraction_per_coefficient(monkeypatch):
+    # the recurrence and the residual check run in integers
+    spec = yukawa_fixture("P4xP1", (1, 2))
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = expand_rational(spec, 20)
+    monkeypatch.undo()
+    assert len(got.coeffs) > 100
+    assert len(made) == len(got.coeffs)
+    assert got == reference_expand_rational(spec, 20)
+
+
+# Stubs the product denominator that the recurrence divides by so that it
+# misses the last factor; the residual check multiplies by every factor of
+# the spec itself.  The bare assert proves the interpreter runs with
+# asserts stripped.
+DROPPED_FACTOR = """
+from toricres import series
+assert False
+full = series._denominator
+series._denominator = lambda nvars, factors, order: full(
+    nvars, factors[:-1], order)
+spec = series.RationalFunctionSpec(
+    1, {(0,): 1}, [({(0,): 1, (1,): -1}, 1), ({(0,): 1, (1,): -2}, 1)])
+series.expand_rational(spec, 5)
+"""
+
+
+def test_expand_rational_residual_check_survives_optimize():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_FACTOR],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode != 0
+    assert ("AssertionError: expand_rational: expansion * denominator "
+            "!= numerator") in proc.stderr
+
+
+GEOMETRIC = RationalFunctionSpec(1, {(0,): 1}, [({(0,): 1, (1,): -1}, 1)])
+
+
+def _refused(case_id, call, name):
+    return pytest.param(call, name, id=case_id)
+
+
+@pytest.mark.parametrize("call, name", [
+    _refused("series-exponent",
+             lambda: TruncatedSeries(1, 3, {(1.5,): 1}), "exponent"),
+    _refused("series-coefficient",
+             lambda: TruncatedSeries(1, 3, {(1,): 0.1}), "coefficient"),
+    _refused("series-order", lambda: TruncatedSeries(1, 3.0, {}), "order"),
+    _refused("series-scalar",
+             lambda: TruncatedSeries(1, 3, {(1,): 1}) * 0.5, "scalar"),
+    _refused("coefficient-lookup",
+             lambda: TruncatedSeries(1, 3, {}).coefficient((1.0,)),
+             "exponent"),
+    _refused("inv-factorial", lambda: inv_factorial(2.5), "n"),
+    _refused("linear-form-power",
+             lambda: linear_form_power_coefficient([([1, 1], 2.7)], (1, 1)),
+             "linear form power"),
+    _refused("linear-form-entry",
+             lambda: linear_form_power_coefficient([([1, 0.5], 2)], (1, 1)),
+             "linear form entry"),
+    _refused("linear-form-target",
+             lambda: linear_form_power_coefficient([([1, 1], 2)], (1.0, 1)),
+             "target entry"),
+    _refused("expand-order", lambda: expand_rational(GEOMETRIC, 2.9),
+             "order"),
+    _refused("multiplicity",
+             lambda: RationalFunctionSpec(1, {(0,): 1}, [({(0,): 1}, 1.5)]),
+             "factor multiplicity"),
+    _refused("numerator",
+             lambda: RationalFunctionSpec(1, {(0,): 0.5}, []), "numerator"),
+    _refused("factor-bool",
+             lambda: RationalFunctionSpec(1, {(0,): 1}, [({(0,): True}, 1)]),
+             "denominator factor"),
+    _refused("evaluate", lambda: GEOMETRIC.evaluate([0.5]), "value"),
+])
+def test_series_api_refuses_floats(call, name):
+    # a float was truncated or converted to a binary fraction before
+    with pytest.raises(TypeError, match=name):
+        call()
 
 
 def test_linear_form_square():
