@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .linalg import det_int
+from .linalg import _coef, _int, det_int
 from .polytope import LatticePolytope
 
 
@@ -30,15 +30,15 @@ class LaurentPolynomial:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim, terms=None):
-        dim = int(dim)
+        dim = _int(dim, "dim")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         clean = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(x) for x in exp)
+            exp = tuple(_int(x, "exponent entry") for x in exp)
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} does not have length {dim}")
-            coef = Fraction(coef)
+            coef = _coef(coef, "coefficient")
             if coef != 0:
                 clean[exp] = clean.get(exp, Fraction(0)) + coef
         object.__setattr__(self, "dim", dim)
@@ -85,7 +85,8 @@ class LaurentPolynomial:
                     terms[e] = terms.get(e, Fraction(0)) + c1 * c2
             return LaurentPolynomial(self.dim, terms)
         return LaurentPolynomial(
-            self.dim, {e: c * Fraction(other) for e, c in self.terms.items()})
+            self.dim,
+            {e: c * _coef(other, "scalar") for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -111,7 +112,7 @@ class LaurentPolynomial:
         """Exact value at a point with nonzero coordinates where needed."""
         if len(values) != self.dim:
             raise ValueError("evaluate: wrong number of values")
-        vals = [Fraction(v) for v in values]
+        vals = [_coef(v, "value") for v in values]
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -126,7 +127,7 @@ class LaurentPolynomial:
 
 
 def monomial(dim, exp, coef=1):
-    return LaurentPolynomial(dim, {tuple(exp): Fraction(coef)})
+    return LaurentPolynomial(dim, {tuple(exp): coef})
 
 
 def zero(dim):
@@ -231,7 +232,7 @@ def nu(subsets):
     rows = []
     dim = None
     for part in subsets:
-        pts = [tuple(int(x) for x in p) for p in part]
+        pts = [tuple(_int(x, "point entry") for x in p) for p in part]
         if len(set(pts)) != len(pts):
             raise ValueError("nu: repeated point inside a part")
         if not pts:
@@ -258,7 +259,7 @@ def mixed_hessian(fs, k):
     d = fs[0].dim
     if any(f.dim != d for f in fs):
         raise ValueError("mixed_hessian: dimension mismatch")
-    k = tuple(int(x) for x in k)
+    k = tuple(_int(x, "multidegree entry") for x in k)
     if len(k) != r or any(x < 0 for x in k):
         raise ValueError("mixed_hessian: bad multidegree")
     if sum(k) != d + r:
@@ -287,7 +288,7 @@ def mixed_hessian(fs, k):
 
 def multidegree_component(f, k, r):
     """Terms of f whose trailing length-r exponent block equals k."""
-    k = tuple(int(x) for x in k)
+    k = tuple(_int(x, "multidegree entry") for x in k)
     if len(k) != r:
         raise ValueError("multidegree_component: block length mismatch")
     d = f.dim - r

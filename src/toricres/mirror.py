@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .laurent import LaurentPolynomial, compositions
-from .linalg import quotient_by_vector, require
+from .linalg import _coef, _int, quotient_by_vector, require
 from .polytope import check_nef_partition
 from .residue import (
     draw_regular_coefficients,
@@ -46,12 +46,13 @@ class WpsFamily:
     __slots__ = ("weights", "parts", "degrees")
 
     def __init__(self, weights, parts):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_int(w, "weight") for w in weights)
         if len(weights) < 2 or any(w < 1 for w in weights):
             raise ValueError("weights must be positive, two or more")
         if math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
-        parts = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
+        parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
+                      for part in parts)
         seen = [i for part in parts for i in part]
         if sorted(seen) != list(range(len(weights))) or not all(parts):
             raise ValueError(
@@ -101,10 +102,10 @@ class ProductFamily:
     __slots__ = ("dims", "matrix", "y_scales")
 
     def __init__(self, dims, matrix, y_scales=None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_int(d, "factor dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("factor dimensions must be positive")
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(_int(x, "degree") for x in row) for row in matrix)
         if len(matrix) != len(dims):
             raise ValueError("degree matrix needs one row per factor")
         r = len(matrix[0])
@@ -119,7 +120,7 @@ class ProductFamily:
                     f"dimension {d}")
         if y_scales is None:
             y_scales = (1,) * len(dims)
-        y_scales = tuple(int(s) for s in y_scales)
+        y_scales = tuple(_int(s, "y scale") for s in y_scales)
         if len(y_scales) != len(dims) or any(s < 1 for s in y_scales):
             raise ValueError("y_scales needs one positive entry per factor")
         object.__setattr__(self, "dims", dims)
@@ -236,7 +237,7 @@ def wps_intersection_series(fam, P, order):
     if _total_degree(P) != fam.dim:
         raise ValueError(
             f"P must be homogeneous of degree {fam.dim}")
-    order = int(order)
+    order = _int(order, "order")
     pw = P.evaluate(fam.weights)
     step = 1
     for dj in fam.degrees:
@@ -278,7 +279,7 @@ def product_intersection_series(fam, k, order):
     prod_j (sum_i n_ij z_i)^(sum_i n_ij b_i + 1), divided by the variable
     scales; out-of-range extraction windows give 0.
     """
-    k = tuple(int(x) for x in k)
+    k = tuple(_int(x, "k entry") for x in k)
     if len(k) != fam.p:
         raise ValueError(f"k must have {fam.p} entries")
     if any(x < 0 for x in k):
@@ -286,7 +287,7 @@ def product_intersection_series(fam, k, order):
     want = fam.ambient_dim - fam.r
     if sum(k) != want:
         raise ValueError(f"sum of k must be {want}")
-    order = int(order)
+    order = _int(order, "order")
     ns = tuple(d + 1 for d in fam.dims)
     columns = [tuple(fam.matrix[i][j] for i in range(fam.p))
                for j in range(fam.r)]
@@ -314,7 +315,8 @@ def q_to_p(Q, parts, degree=None):
     groups.  When the target total degree of the result is known, pass it
     as degree and Q is checked against degree - r up front.
     """
-    parts = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
+    parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
+                      for part in parts)
     n = max((i for part in parts for i in part), default=-1) + 1
     seen = sorted(i for part in parts for i in part)
     if seen != list(range(n)) or not all(parts):
@@ -323,7 +325,7 @@ def q_to_p(Q, parts, degree=None):
     _check_polynomial(Q, n, "Q")
     _group_degrees(Q, parts, "Q")
     if degree is not None:
-        want = int(degree) - len(parts)
+        want = _int(degree, "degree") - len(parts)
         if _total_degree(Q, "Q") != want:
             raise ValueError(f"Q must be homogeneous of degree {want}")
     P = Q
@@ -335,7 +337,7 @@ def q_to_p(Q, parts, degree=None):
 
 def yukawa_fixture(name, indices):
     """Bundled closed-form coupling for a named family and index choice."""
-    indices = tuple(int(x) for x in indices)
+    indices = tuple(_int(x, "index") for x in indices)
     if name == "P3xP3":
         big = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
         l1 = {(0, 0): 1, (1, 0): -1}
@@ -399,7 +401,8 @@ def draw_wps_points(fam, rng, count=2):
     whose linear system is regular, until count points are collected.
     """
     nef, positions = wps_nef_partition(fam)
-    return [pt for pt, _ in _draw_solved(nef, positions, rng, int(count))]
+    count = _int(count, "count")
+    return [pt for pt, _ in _draw_solved(nef, positions, rng, count)]
 
 
 def _wps_residue_value(fam, nef, positions, P, point, kbar, rf=None):
@@ -434,7 +437,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     closed-form fixture.  Returns a report dict whose "ok" is True only
     when every comparison is an exact match.
     """
-    order = int(order)
+    order = _int(order, "order")
     if isinstance(fam, WpsFamily):
         if P is None:
             raise ValueError("a weighted family needs the polynomial P")
@@ -456,7 +459,8 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         else:
             if points is None:
                 points = _default_points(fam.n)
-            solved = [(tuple(Fraction(a) for a in pt), None) for pt in points]
+            solved = [(tuple(_coef(a, "point coordinate") for a in pt), None)
+                      for pt in points]
         if len(solved) < 2:
             raise ValueError("at least two coefficient points are required")
         point_rows = []
@@ -481,7 +485,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         if key is None:
             raise ValueError(
                 "no bundled closed form matches this product family")
-        k = tuple(int(x) for x in k)
+        k = tuple(_int(x, "k entry") for x in k)
         series = product_intersection_series(fam, k, order)
         expanded = expand_rational(yukawa_fixture(key, k), order)
         rows = []

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (
+    _int,
     det_int,
     dot,
     integer_kernel_basis,
@@ -39,7 +40,7 @@ from .linalg import (
 
 
 def _as_point(p):
-    return tuple(int(x) for x in p)
+    return tuple(_int(x, "point entry") for x in p)
 
 
 def _sub(p, q):

@@ -21,10 +21,12 @@ partition alone; they are built once per NefPartition and kept on it.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
+from operator import add
 
 from .laurent import (
     LaurentPolynomial,
@@ -32,10 +34,16 @@ from .laurent import (
     hessian_by_subsets,
     log_derivative,
     mixed_hessian,
-    monomial,
     positive_compositions,
 )
-from .linalg import NOT_UNIQUE, dot, require, solve_functional
+from .linalg import (
+    NOT_UNIQUE,
+    _coef,
+    _int,
+    dot,
+    require,
+    solve_functional,
+)
 from .polytope import cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
@@ -53,10 +61,10 @@ class GradedPieceBasis:
     __slots__ = ("multidegree", "monomials", "index")
 
     def __init__(self, multidegree, monomials):
-        self.multidegree = (None if multidegree is None
-                            else tuple(int(x) for x in multidegree))
-        self.monomials = tuple(sorted(tuple(int(x) for x in m)
-                                      for m in monomials))
+        self.multidegree = (None if multidegree is None else tuple(
+            _int(x, "multidegree entry") for x in multidegree))
+        self.monomials = tuple(sorted(
+            tuple(_int(x, "exponent entry") for x in m) for m in monomials))
         require(len(set(self.monomials)) == len(self.monomials),
                 f"graded piece at multidegree {self.multidegree} lists a "
                 "monomial twice")
@@ -71,7 +79,7 @@ class GradedPieceBasis:
 
 
 def _check_multidegree(nef, k):
-    k = tuple(int(x) for x in k)
+    k = tuple(_int(x, "multidegree entry") for x in k)
     if len(k) != nef.r:
         raise ValueError("multidegree length must equal the number of parts")
     if any(x < 0 for x in k):
@@ -183,10 +191,10 @@ class ResidueFunctional:
                 f"regular={self.regular})")
 
 
-def _as_row(poly, basis):
-    """The polynomial's coefficients as a sparse {basis position: value}."""
+def _as_row(terms, basis):
+    """(exponent, value) pairs as a sparse {basis position: value}."""
     row = {}
-    for e, c in poly.terms.items():
+    for e, c in terms:
         i = basis.index.get(e)
         if i is None:
             raise ValueError(f"monomial {e} lies outside the graded basis")
@@ -200,7 +208,9 @@ def residue_functional(fs, nef):
 
     Span vectors are the products of each of the d+r log-derivatives of the
     combined polynomial with every interior monomial one level down, as
-    sparse rows.  A non-unique or unreachable solution means the system is
+    sparse integer rows: each log-derivative is cleared of denominators
+    once, and each product is read off as its terms shifted by the
+    monomial.  A non-unique or unreachable solution means the system is
     not regular.
     """
     fs = list(fs)
@@ -224,9 +234,14 @@ def residue_functional(fs, nef):
         g = log_derivative(F, i)
         if g.is_zero():
             continue
+        # a scaled row spans the same line: clear g's denominators once
+        scale = math.lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(e, c.numerator * (scale // c.denominator))
+                 for e, c in g.terms.items()]
         for mono in setup.lower.monomials:
-            span.append(_as_row(g * monomial(n, mono), top))
-    hess = _as_row(hessian_by_subsets(F), top)
+            shifted = ((tuple(map(add, e, mono)), c) for e, c in terms)
+            span.append(_as_row(shifted, top))
+    hess = _as_row(hessian_by_subsets(F).terms.items(), top)
     target = [hess.get(i, 0) for i in range(len(top))]
     lam = solve_functional(span, target, vol)
     if lam is NOT_UNIQUE:
@@ -244,7 +259,7 @@ def mixed_residue(rf, h, k=None):
     if not rf.regular:
         raise ValueError("functional is not regular")
     if k is not None:
-        k = tuple(int(x) for x in k)
+        k = tuple(_int(x, "multidegree entry") for x in k)
         for e in h.terms:
             if e[len(e) - len(k):] != k:
                 raise ValueError(f"monomial {e} is not of multidegree {k}")
@@ -310,14 +325,14 @@ def residue_of_polynomial(rf, nef, P, a, kbar):
     pts = nef.points
     if P.dim != len(pts):
         raise ValueError("polynomial must have one variable per part point")
-    kbar = tuple(int(x) for x in kbar)
+    kbar = tuple(_int(x, "part degree") for x in kbar)
     if len(kbar) != r or any(x < 0 for x in kbar):
         raise ValueError("bad part degrees")
     if sum(kbar) != d:
         raise ValueError("part degrees must sum to the dimension")
     sizes = [len(part) for part in nef.parts]
     starts = [sum(sizes[:i]) for i in range(r)]
-    a = [Fraction(x) for x in a]
+    a = [_coef(x, "coefficient") for x in a]
     if len(a) != len(pts):
         raise ValueError("need one coefficient per part point")
     tail = tuple(x + 1 for x in kbar)
@@ -344,7 +359,7 @@ def residue_of_polynomial(rf, nef, P, a, kbar):
 
 def system_from_coefficients(nef, coeffs):
     """Build f_i = 1 - sum of c_p t^p over part i, in nef.points order."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_coef(c, "coefficient") for c in coeffs]
     if len(coeffs) != len(nef.points):
         raise ValueError("need one coefficient per part point")
     it = iter(coeffs)

@@ -25,23 +25,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .laurent import compositions
-from .linalg import require
-
-
-def _int(x, what):
-    """x itself when it is an int (not a bool), else a TypeError."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise TypeError(f"{what} must be an integer, got {x!r}")
-
-
-def _coef(x, what):
-    """x as a Fraction when it is an int (not a bool) or a Fraction."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"{what} must be an int or Fraction, got {x!r}")
+from .linalg import _coef, _int, require
 
 
 def inv_factorial(n):

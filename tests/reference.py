@@ -8,16 +8,47 @@ multiplies in one linear factor at a time, and the rational expansion
 divides by one denominator factor at a time in Fractions.  All are slow,
 but they share no bound propagation, double description, multinomial
 expansion or integer recurrence with the routines they check, so a
-differential test against them compares two independent routes.
+differential test against them compares two independent routes.  rank and
+solve_linear run the library's Fraction eliminator, the one nullspace uses,
+and serve the tests alone.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from toricres.laurent import compositions
-from toricres.linalg import det_int, dot, primitive, solve_linear
+from toricres.linalg import (
+    _echelon,
+    _kernel_vector,
+    _sparse_row,
+    det_int,
+    dot,
+    primitive,
+)
 from toricres.polytope import _affine_equations
 from toricres.series import TruncatedSeries
+
+
+def rank(matrix):
+    """Rank of a matrix of ints or Fractions, by the Fraction eliminator."""
+    rows = list(matrix)
+    ncols = len(rows[0]) if rows else 0
+    return len(_echelon(_sparse_row(r, ncols) for r in rows))
+
+
+def solve_linear(matrix, rhs):
+    """Unique exact solution of M x = rhs, or None if none/ambiguous."""
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    if len(rows) != len(rhs):
+        raise ValueError("solve_linear: shape mismatch")
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = _echelon(_sparse_row(r, ncols + 1) for r in rows)
+    if ncols in pivots:
+        return None  # inconsistent
+    if len(pivots) != ncols:
+        return None  # underdetermined
+    # the kernel of (M | rhs) is spanned by (-x, 1)
+    return tuple(-y for y in _kernel_vector(pivots, ncols, ncols + 1)[:-1])
 
 
 def box_scan(lo, hi, keep):

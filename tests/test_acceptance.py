@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: twelve timed criteria, exact equality only.
+"""End-to-end acceptance gate: thirteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -52,6 +52,7 @@ from toricres.residue import (
     draw_regular_coefficients,
     interior_level_basis,
     mixed_residue,
+    residue_setup,
     system_from_coefficients,
 )
 from toricres.series import RationalFunctionSpec, expand_rational, inv_factorial
@@ -403,3 +404,17 @@ def test_criterion_12_fixture_expansions_at_order_60():
             assert s.order == 60 and s.coeffs
 
     _run(12, 1.5, body)
+
+
+def test_criterion_13_p3xp3_residue_functional():
+    def body():
+        # the paper-scale functional: 26829 span rows on a top piece of
+        # 7876 monomials, regular at the first seeded draw
+        nef = check_nef_partition(product_parts(P3XP3))
+        setup = residue_setup(nef)
+        assert (len(setup.top), len(setup.lower)) == (7876, 2981)
+        assert setup.vol == 16
+        _, _, rf = draw_regular_coefficients(nef, random.Random(1))
+        assert rf.regular and len(rf.values) == 7876
+
+    _run(13, 5.0, body)

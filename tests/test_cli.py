@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from toricres import residue
+from toricres import linalg, residue
 from toricres.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -366,6 +366,17 @@ def test_each_point_solves_its_functional_once(capsys, monkeypatch):
                               "--nefpart", fx("p2split.json"), *argv)
         assert code == 0 and report["ok"]
         assert len(calls) == 1
+
+
+def test_exhausted_primes_exit_2(capsys, monkeypatch):
+    # one prime far too small to reconstruct the functional, and no other
+    monkeypatch.setattr(linalg, "_PRIMES", (101,))
+    code, report, out = run(capsys, "residue", "functional",
+                            "--nefpart", fx("p2split.json"),
+                            "--coeffs", fx("a.json"))
+    assert code == 2 and report is None and out.out == ""
+    assert out.err == ("check failed: solve_functional: lam has no "
+                       "rational reconstruction\n")
 
 
 def test_verify_trmc_product(capsys):

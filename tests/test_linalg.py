@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from reference import cofactor_nullvector
+from reference import cofactor_nullvector, rank, solve_linear
+from toricres import linalg
 from toricres.linalg import (
     NOT_UNIQUE,
     NotUnique,
@@ -18,9 +19,7 @@ from toricres.linalg import (
     nullspace,
     primitive,
     quotient_by_vector,
-    rank,
     solve_functional,
-    solve_linear,
 )
 
 
@@ -237,6 +236,102 @@ def test_eliminator_matches_dense_gauss_jordan():
     assert solved >= 8
 
 
+def rational_rows(rng, rows):
+    # each row scaled by its own fraction: the same span, with denominators
+    scales = [Fraction(rng.choice([-3, 1, 2, 5]), rng.randint(1, 7))
+              for _ in rows]
+    return [[c * x for x in r] for c, r in zip(scales, rows)]
+
+
+def test_modular_solve_matches_fraction_oracle():
+    # unique functionals and the three non-regular verdicts, each compared
+    # with the Fraction route: an annihilator of dimension 2, a line that
+    # pairs to 0 with the target, and normalization 0
+    rng = random.Random(41)
+    solved = 0
+    for n in [3, 4, 5, 8, 13, 21, 34]:
+        for kind in ["unique", "plane", "pairs_to_0", "norm_0"]:
+            size = n - 1 if kind == "plane" else n
+            rows = corank_one_span(rng, size, rng.randint(0, size // 2))
+            if kind == "plane":
+                rows = [r + [0] for r in rows]
+            rows = rational_rows(rng, rows)
+            target = [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                      for _ in range(n)]
+            _, ann = dense_rank_and_kernel(rows, n)
+            if kind == "pairs_to_0":
+                free = ann[0].index(1)
+                target[free] -= dot(ann[0], target)
+            norm = 0 if kind == "norm_0" else Fraction(rng.randint(1, 9),
+                                                       rng.randint(1, 9))
+            want = dense_solve_functional(ann, target, norm)
+            assert solve_functional(rows, target, norm) == want
+            assert solve_functional([sparse(r) for r in rows], target,
+                                    norm) == want
+            solved += want is not NOT_UNIQUE
+    assert solved >= 6
+
+
+def test_unlucky_first_prime_moves_on(monkeypatch):
+    # q divides a pivot: a pivot column scaled by q vanishes mod q, and the
+    # row (q, 1, 0) pivots at column 1 mod q; either way the rank or the
+    # pivot columns mod q differ from those over Q
+    q = 2**61 - 1
+    calls = []
+    real = linalg._echelon_mod
+
+    def spy(rows, p):
+        pivots = real(rows, p)
+        calls.append((p, sorted(pivots)))
+        return pivots
+
+    monkeypatch.setattr(linalg, "_echelon_mod", spy)
+    monkeypatch.setattr(linalg, "_PRIMES", (q,) + linalg._PRIMES)
+    rng = random.Random(43)
+    cases = [([[q, 1, 0], [0, 0, 1]], [0, 1, 0])]
+    for n in [3, 5, 8, 13]:
+        rows = corank_one_span(rng, n, 2)
+        col = rng.choice(gauss_jordan(rows, n)[1])
+        rows = [[x * q if j == col else x for j, x in enumerate(r)]
+                for r in rows]
+        cases.append((rows, [rng.randint(-3, 3) for _ in range(n)]))
+    for rows, target in cases:
+        n = len(target)
+        calls.clear()
+        _, ann = dense_rank_and_kernel(rows, n)
+        _, pivots = gauss_jordan(rows, n)
+        want = dense_solve_functional(ann, target, 7)
+        assert solve_functional(rows, target, 7) == want
+        assert calls[0][0] == q and calls[0][1] != pivots
+        assert [c[1] for c in calls[1:]] == [pivots] * (len(calls) - 1)
+
+
+def test_small_prime_wrong_lam_fails_the_exact_check(monkeypatch):
+    # lam = (1, -c) with c = 5q + 3: modulo q it reconstructs as the small
+    # integers (1, -3), which the exact check rejects
+    q = 2**31 - 1
+    c = 5 * q + 3
+    proposed = []
+    real, big = linalg._reconstruct, linalg._PRIMES[0]
+
+    def spy(residues, m):
+        got = real(residues, m)
+        proposed.append(got)
+        return got
+
+    monkeypatch.setattr(linalg, "_reconstruct", spy)
+    monkeypatch.setattr(linalg, "_PRIMES", (q,))
+    with pytest.raises(AssertionError, match=r"^solve_functional: lam \. "
+                       r"span != 0$"):
+        solve_functional([(c, 1)], (1, 0), 1)
+    assert proposed == [([1, -3], 1)]
+    # with a second prime the residues combine by CRT into the right lam
+    proposed.clear()
+    monkeypatch.setattr(linalg, "_PRIMES", (q, big))
+    assert solve_functional([(c, 1)], (1, 0), 1) == (1, -c)
+    assert proposed == [([1, -3], 1), ([1, -c], 1)]
+
+
 def test_solve_linear_full_rank_against_dense():
     rng = random.Random(29)
     for n in range(1, 12):
@@ -267,15 +362,14 @@ def test_solve_functional_sparse_rows_and_edge_cases():
         solve_functional([{-1: 1}], (1, 0, 0), 1)
 
 
-# Stubs the back-substitution to return a vector that does not annihilate
-# the span; the bare assert proves the interpreter runs with asserts
-# stripped.
+# Stubs the rational reconstruction to return a vector that does not
+# annihilate the span, at every prime; the bare assert proves the
+# interpreter runs with asserts stripped.
 WRONG_KERNEL = """
-from fractions import Fraction
 from toricres import linalg
 assert False
-linalg._kernel_vector = lambda pivots, free, n: tuple(
-    Fraction(int(j == free)) for j in range(n))
+linalg._reconstruct = lambda residues, m: (
+    [int(j == 0) for j in range(len(residues))], 1)
 linalg.solve_functional([(1, 1, 0), (0, 1, 1)], (0, 0, 1), 1)
 """
 

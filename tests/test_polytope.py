@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from reference import (
     facet_search,
+    rank,
     reference_halfspace_vertices,
     reference_lattice_points,
     reference_piece_points,
+    solve_linear,
 )
 from toricres.laurent import compositions
-from toricres.linalg import dot, integer_kernel_basis, rank, solve_linear
+from toricres.linalg import dot, integer_kernel_basis
 from toricres import polytope
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (

@@ -266,6 +266,19 @@ def test_residue_functional_validation():
         residue_functional(bad, nef)
 
 
+def test_span_row_outside_top_basis_is_a_value_error(monkeypatch):
+    # a lower monomial far outside the cone shifts every log-derivative
+    # term out of the top basis
+    nef = pentagon_family()
+    setup = residue.residue_setup(nef)
+    far = GradedPieceBasis(None, setup.lower.monomials + ((50, 50, 1, 1),))
+    monkeypatch.setattr(residue, "residue_setup",
+                        lambda nef: setup._replace(lower=far))
+    fs = system_from_coefficients(nef, A)
+    with pytest.raises(ValueError, match="outside the graded basis"):
+        residue_functional(fs, nef)
+
+
 def test_pentagon_regular_and_normalized():
     nef = pentagon_family()
     fs = system_from_coefficients(nef, A)

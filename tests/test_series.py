@@ -12,7 +12,15 @@ from reference import (
     reference_linear_form_coefficient,
 )
 from toricres.laurent import LaurentPolynomial
-from toricres.mirror import WpsFamily, wps_closed_form, yukawa_fixture
+from toricres.mirror import (
+    P4XP1,
+    WpsFamily,
+    verify_family,
+    wps_closed_form,
+    yukawa_fixture,
+)
+from toricres.polytope import LatticePolytope, check_nef_partition
+from toricres.residue import graded_basis, system_from_coefficients
 from toricres.series import (
     RationalFunctionSpec,
     TruncatedSeries,
@@ -295,6 +303,7 @@ def test_expand_rational_residual_check_survives_optimize():
 
 
 GEOMETRIC = RationalFunctionSpec(1, {(0,): 1}, [({(0,): 1, (1,): -1}, 1)])
+PENTAGON = check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]])
 
 
 def _refused(case_id, call, name):
@@ -333,6 +342,27 @@ def _refused(case_id, call, name):
              lambda: RationalFunctionSpec(1, {(0,): 1}, [({(0,): True}, 1)]),
              "denominator factor"),
     _refused("evaluate", lambda: GEOMETRIC.evaluate([0.5]), "value"),
+    _refused("laurent-exponent",
+             lambda: LaurentPolynomial(1, {(1.5,): 1}), "exponent entry"),
+    _refused("laurent-coefficient",
+             lambda: LaurentPolynomial(1, {(1,): 0.1}), "coefficient"),
+    _refused("laurent-scalar",
+             lambda: LaurentPolynomial(1, {(1,): 1}) * 0.5, "scalar"),
+    _refused("verify-order", lambda: verify_family(P4XP1, 2.9, k=(3, 0)),
+             "order"),
+    _refused("verify-k", lambda: verify_family(P4XP1, 3, k=(2.7, 1)),
+             "k entry"),
+    _refused("wps-weight",
+             lambda: WpsFamily((1.5, 1, 1, 1, 1), [[0, 1, 2, 3, 4]]),
+             "weight"),
+    _refused("polytope-point",
+             lambda: LatticePolytope([(0.5, 0), (1, 0), (0, 1)]),
+             "point entry"),
+    _refused("residue-coefficient",
+             lambda: system_from_coefficients(PENTAGON, [0.5, 1, 1]),
+             "coefficient"),
+    _refused("residue-multidegree",
+             lambda: graded_basis(PENTAGON, (1.5, 1)), "multidegree entry"),
 ])
 def test_series_api_refuses_floats(call, name):
     # a float was truncated or converted to a binary fraction before
