@@ -3,13 +3,14 @@
 Vectors are tuples, matrices are sequences of rows.  Entries are Python ints
 or fractions.Fraction; every result is exact.  No floating point anywhere.
 
-Two sparse eliminators share one pivoting rule: each {column: value} row is
-reduced by the stored rows and stored scaled to 1 at its lowest column, its
-pivot.  nullspace eliminates over Fractions and back-substitutes in
-descending pivot order.  solve_functional scales its rows to integers and
+One row eliminator, _echelon_mod: each sparse {column: value} integer row
+is reduced by the stored rows modulo a prime and stored scaled to 1 at its
+lowest column, its pivot.  solve_functional scales its rows to integers and
 eliminates modulo fixed large primes; the functional is recovered by
 rational reconstruction and accepted only after an exact integer check, so
-a prime proposes and never decides.
+a prime proposes and never decides.  The lattice routines stay in integers
+throughout: Bareiss for det_int, column Euclidean reduction for
+integer_kernel_basis and quotient_by_vector.
 """
 
 from __future__ import annotations
@@ -109,45 +110,6 @@ def _sparse_row(row, ncols):
     return {c: x for c, x in items if x}
 
 
-def _echelon(rows):
-    """Echelon basis {pivot: row} of sparse rows, over Fractions.
-
-    A stored row's pivot is its lowest column, where the row is 1.
-    """
-    pivots = {}
-    for row in rows:
-        row = {c: Fraction(x) for c, x in row.items()}
-        while row:
-            c = min(row)
-            x = row[c]
-            if c not in pivots:
-                pivots[c] = {j: y / x for j, y in row.items()}
-                break
-            for j, y in pivots[c].items():
-                v = row.get(j, 0) - x * y
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-    return pivots
-
-
-def _kernel_vector(pivots, free, n):
-    """Kernel vector, 1 at free and 0 at the other non-pivot columns."""
-    v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for p in sorted((p for p in pivots if p < free), reverse=True):
-        v[p] = -sum(x * v[j] for j, x in pivots[p].items())
-    return tuple(v)
-
-
-def nullspace(matrix, ncols):
-    """Basis of {x : M x = 0} as tuples of Fractions (deterministic order)."""
-    pivots = _echelon(_sparse_row(r, ncols) for r in matrix)
-    return [_kernel_vector(pivots, fc, ncols)
-            for fc in range(ncols) if fc not in pivots]
-
-
 # The primes solve_functional eliminates modulo, in order.  They are fixed
 # so that reruns are byte-identical.  The first one alone recovers every
 # functional of the bundled families and of the benchmark; the rest serve
@@ -171,7 +133,7 @@ def _echelon_mod(rows, p):
     """Echelon basis {pivot: tail} of integer rows modulo the prime p.
 
     A stored row is 1 at its pivot, its lowest column; tail holds its other
-    entries.  Same pivoting as _echelon, in ints reduced mod p.
+    entries.
     """
     pivots = {}
     for row in rows:
@@ -365,7 +327,7 @@ def integer_kernel_basis(rows, n):
     unimodular transform; no normal form is exposed.
     """
     m = len(rows)
-    a = [list(r) for r in rows]
+    a = [[_int(x, "kernel row entry") for x in r] for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("integer_kernel_basis: ragged matrix")
     ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
@@ -404,7 +366,7 @@ def quotient_by_vector(w):
     unimodular transform; the discarded last row completes w to a basis.
     """
     n = len(w)
-    v = [int(x) for x in w]
+    v = [_int(x, "vector entry") for x in w]
     g = math.gcd(*(abs(x) for x in v))
     if g != 1:
         raise ValueError("quotient_by_vector: entries must be coprime")

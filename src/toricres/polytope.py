@@ -29,11 +29,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (
+    _coef,
     _int,
     det_int,
     dot,
     integer_kernel_basis,
-    nullspace,
     primitive,
     require,
 )
@@ -88,15 +88,15 @@ class LatticePolytope:
         return self.affine_dim == self.ambient_dim
 
     def contains(self, x):
-        x = tuple(x)
+        x = _as_point(x)
         return (all(dot(u, x) == v for u, v in self.equations)
                 and all(dot(n, x) >= -c for n, c in self.facets))
 
     def strictly_contains(self, x):
         """Interior membership; only full-dimensional polytopes have one."""
+        x = _as_point(x)
         if not self.is_full_dim:
             return False
-        x = tuple(x)
         return all(dot(n, x) > -c for n, c in self.facets)
 
     def normalized_volume(self):
@@ -118,18 +118,6 @@ class LatticePolytope:
 
 def convex_hull(points):
     return LatticePolytope(points)
-
-
-def _affine_equations(pts, d):
-    """Primitive integer equations <x, u> = v cutting out the affine hull."""
-    base = pts[0]
-    diffs = [_sub(p, base) for p in pts[1:]]
-    eqs = []
-    for nv in nullspace(diffs, d):
-        mult = math.lcm(*(f.denominator for f in nv))
-        eqs.append(primitive([int(f * mult) for f in nv]))
-    eqs.sort()
-    return tuple((u, dot(u, base)) for u in eqs)
 
 
 def _meet(lin, g):
@@ -202,27 +190,47 @@ def _cone_rays(rows, n):
     return rays, zeros, len(lin)
 
 
+def _affine_equations(lin, base):
+    """Primitive integer equations <x, u> = v cutting out the affine hull
+    of a point set, in canonical order.
+
+    lin is the lineality basis left by meeting every generator (1, p) of
+    the set, so it spans {(v0, u) : v0 + <u, p> = 0 for each p}.  Meeting
+    its u-parts with the unit rows e_(d-1), ..., e_0 finds one normal per
+    free column f, positive at f and zero above it, and clears each normal
+    found earlier at f by the same fraction-free step.  Each u is then the
+    primitive normal positive at its free column and zero at the other
+    free columns and above its own: the basis a back-substituted kernel
+    gives.  base is any point of the set.
+    """
+    d = len(base)
+    rest, eqs = [x[1:] for x in lin], []
+    for j in reversed(range(d)):
+        l, s, rest = _meet(rest, tuple(int(i == j) for i in range(d)))
+        if l is not None:
+            eqs = [primitive(tuple(s * a - u[j] * b for a, b in zip(u, l)))
+                   for u in eqs] + [l]
+    return tuple(sorted((u, dot(u, base)) for u in eqs))
+
+
 def _hull_description(pts, d):
     """(vertices, equations, facets) of conv(pts), pts sorted.
 
-    The equations are read off an affinely independent subset spanning the
-    affine hull, picked with integers only.  The facets are the extreme
-    rays (c, z) of the cone dual to the homogenized generators (1, y), with
-    y_k = <w_k, p> over a Z-basis w of the lattice orthogonal to the
-    equations, so the normal n = sum z_k w_k is primitive and orthogonal to
-    the equations.  A generator is a vertex when its set of facets is
+    Meeting every generator (1, p) in turn leaves the lineality basis of
+    the dual cone, and _affine_equations reads the equations off it, in
+    integers only.  The facets are the extreme rays (c, z) of the cone
+    dual to the homogenized generators (1, y), with y_k = <w_k, p> over a
+    Z-basis w of the lattice orthogonal to the equations, so the normal
+    n = sum z_k w_k is primitive and orthogonal to the equations.  A generator is a vertex when its set of facets is
     contained in no other generator's set: the facets through a vertex meet
     in it alone, so no other generator has the same set.
     """
     lin = [tuple(int(i == j) for i in range(d + 1)) for j in range(d + 1)]
-    first = []
-    for i, p in enumerate(pts):
-        l, _, lin = _meet(lin, (1,) + p)
-        if l is not None:
-            first.append(i)
-            if not lin:
-                break
-    eqs = _affine_equations([pts[i] for i in first], d)
+    for p in pts:
+        _, _, lin = _meet(lin, (1,) + p)
+        if not lin:
+            break
+    eqs = _affine_equations(lin, pts[0])
     if len(eqs) == d:
         return tuple(pts), eqs, ()
     coords = pts
@@ -577,8 +585,8 @@ def halfspace_intersection_vertices(ineqs, dim):
     """
     rows = [(1,) + (0,) * dim]
     for a, b in ineqs:
-        a = tuple(int(x) for x in a)
-        b = Fraction(b)
+        a = tuple(_int(x, "normal entry") for x in a)
+        b = _coef(b, "offset")
         if all(x == 0 for x in a):
             if b > 0:
                 return []

@@ -8,25 +8,73 @@ multiplies in one linear factor at a time, and the rational expansion
 divides by one denominator factor at a time in Fractions.  All are slow,
 but they share no bound propagation, double description, multinomial
 expansion or integer recurrence with the routines they check, so a
-differential test against them compares two independent routes.  rank and
-solve_linear run the library's Fraction eliminator, the one nullspace uses,
-and serve the tests alone.
+differential test against them compares two independent routes.
+
+rank, solve_linear and nullspace run one sparse Fraction eliminator,
+_echelon, which the library does not use.  affine_equations finds a point
+set's affine-hull equations with nullspace and back-substitution, where the
+library reads them off the lineality basis its double description leaves.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 from toricres.laurent import compositions
-from toricres.linalg import (
-    _echelon,
-    _kernel_vector,
-    _sparse_row,
-    det_int,
-    dot,
-    primitive,
-)
-from toricres.polytope import _affine_equations
+from toricres.linalg import _sparse_row, det_int, dot, primitive
 from toricres.series import TruncatedSeries
+
+
+def _echelon(rows):
+    """Echelon basis {pivot: row} of sparse rows, over Fractions.
+
+    A stored row's pivot is its lowest column, where the row is 1.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(x) for c, x in row.items()}
+        while row:
+            c = min(row)
+            x = row[c]
+            if c not in pivots:
+                pivots[c] = {j: y / x for j, y in row.items()}
+                break
+            for j, y in pivots[c].items():
+                v = row.get(j, 0) - x * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return pivots
+
+
+def _kernel_vector(pivots, free, n):
+    """Kernel vector, 1 at free and 0 at the other non-pivot columns."""
+    v = [Fraction(0)] * n
+    v[free] = Fraction(1)
+    for p in sorted((p for p in pivots if p < free), reverse=True):
+        v[p] = -sum(x * v[j] for j, x in pivots[p].items())
+    return tuple(v)
+
+
+def nullspace(matrix, ncols):
+    """Basis of {x : M x = 0} as tuples of Fractions (deterministic order)."""
+    pivots = _echelon(_sparse_row(r, ncols) for r in matrix)
+    return [_kernel_vector(pivots, fc, ncols)
+            for fc in range(ncols) if fc not in pivots]
+
+
+def affine_equations(pts, d):
+    """Primitive integer equations <x, u> = v cutting out the affine hull,
+    one per nullspace vector of the differences p - pts[0], sorted."""
+    base = pts[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
+    eqs = []
+    for nv in nullspace(diffs, d):
+        mult = math.lcm(*(f.denominator for f in nv))
+        eqs.append(primitive([int(f * mult) for f in nv]))
+    eqs.sort()
+    return tuple((u, dot(u, base)) for u in eqs)
 
 
 def rank(matrix):
@@ -134,7 +182,7 @@ def reference_halfspace_vertices(ineqs, dim):
     if not rows:
         raise ValueError("halfspace intersection: no effective constraints")
     normals = sorted({a for a, _ in rows})
-    eqs = _affine_equations(normals, dim)
+    eqs = affine_equations(normals, dim)
     if eqs or not all(c > 0 for _, c in facet_search(normals, eqs, dim)):
         raise ValueError("halfspace intersection: unbounded region")
     verts = set()

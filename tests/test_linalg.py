@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import cofactor_nullvector, rank, solve_linear
+from reference import cofactor_nullvector, nullspace, rank, solve_linear
 from toricres import linalg
 from toricres.linalg import (
     NOT_UNIQUE,
@@ -16,11 +16,11 @@ from toricres.linalg import (
     det_int,
     dot,
     integer_kernel_basis,
-    nullspace,
     primitive,
     quotient_by_vector,
     solve_functional,
 )
+from toricres.polytope import LatticePolytope, halfspace_intersection_vertices
 
 
 def cofactor_det(m):
@@ -514,3 +514,36 @@ def test_quotient_by_vector():
 
     with pytest.raises(ValueError):
         quotient_by_vector((2, 4))
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: halfspace_intersection_vertices(
+        [((1.5,), -1), ((-1,), -1)], 1), "normal entry", id="halfspace-normal"),
+    pytest.param(lambda: halfspace_intersection_vertices(
+        [((1,), -0.1), ((-1,), -1)], 1), "offset", id="halfspace-offset"),
+    pytest.param(lambda: integer_kernel_basis([[1.5, 1]], 2),
+                 "kernel row entry", id="kernel-row"),
+    pytest.param(lambda: quotient_by_vector((1.0, 2.0, 3.0)), "vector entry",
+                 id="quotient-vector"),
+    pytest.param(lambda: LatticePolytope([(0, 0), (2, 0), (0, 2)]).contains(
+        (0.5, 0.5)), "point entry", id="polytope-contains"),
+    pytest.param(lambda: LatticePolytope([(0, 0), (2, 0), (0, 2)])
+                 .strictly_contains((0.5, 0.5)), "point entry",
+                 id="polytope-strictly-contains"),
+])
+def test_lattice_api_refuses_floats(call, name):
+    # a float was truncated or converted to a binary fraction before
+    with pytest.raises(TypeError, match=name):
+        call()
+
+
+def test_public_api_names_resolve():
+    # a routine moved out of the library must leave __all__ with it
+    import toricres
+
+    names = toricres.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(toricres, n)] == []
+    namespace = {}
+    exec("from toricres import *", namespace)
+    assert set(names) <= set(namespace)

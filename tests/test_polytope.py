@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    affine_equations,
     facet_search,
     rank,
     reference_halfspace_vertices,
@@ -23,7 +24,6 @@ from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
     NefPartitionError,
-    _affine_equations,
     cayley_polytope,
     check_nef_partition,
     convex_hull,
@@ -108,7 +108,7 @@ def reference_hull(pts, d):
     (a sorted tuple), and vertices by the rank test: a point is a vertex
     when the equations and the facets tight at it have rank d.  Cached,
     since the volume recursion asks again for the hull just compared."""
-    eqs = _affine_equations(pts, d)
+    eqs = affine_equations(pts, d)
     facets = facet_search(pts, eqs, d)
     if len(eqs) == d:
         return eqs, facets, tuple(pts)
@@ -126,7 +126,7 @@ def reference_volume(pts, memo):
     if key in memo:
         return memo[key]
     d = len(pts[0])
-    eqs = _affine_equations(pts, d)
+    eqs = affine_equations(pts, d)
     vol = 1
     if len(eqs) < d:
         coords = pts
@@ -196,6 +196,51 @@ def test_grown_hull_matches_exhaustive_reference():
         assert poly.normalized_volume() == vol, raw
         big += math.comb(len(pts), d - len(eqs)) > 3000
     assert big >= 10
+
+
+def test_affine_equations_match_reference_route():
+    # affine images of Z^a in Z^d, d = 1-7 and a = 0-d, so every
+    # codimension from 0 to d; a = 0 gives single points, and about half
+    # of the sets repeat some of their points
+    rng = random.Random(47)
+    seen = set()
+    count = 0
+    for d in range(1, 8):
+        for a in range(d + 1):
+            for _ in range(60):
+                m = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(d)]
+                base = [rng.randint(-3, 3) for _ in range(d)]
+                pts = [tuple(b + dot(row, q) for b, row in zip(base, m))
+                       for q in ([rng.randint(-2, 2) for _ in range(a)]
+                                 for _ in range(rng.randint(1, a + 3)))]
+                if rng.random() < 0.5:
+                    pts += rng.choices(pts, k=rng.randint(1, 3))
+                poly = LatticePolytope(pts)
+                want = affine_equations(sorted(set(pts)), d)
+                assert poly.equations == want, pts
+                seen.add((d, len(want)))
+                count += 1
+    assert count >= 2000
+    assert seen == {(d, c) for d in range(1, 8) for c in range(d + 1)}
+
+
+@pytest.mark.parametrize("pts, codim", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 0),
+    ([(0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1), (2, 3, 1, 0)], 1),
+])
+def test_hull_builds_no_fraction(monkeypatch, pts, codim):
+    # hulls and their equations are found in integers alone
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    poly = LatticePolytope(pts)
+    assert made == []
+    assert len(poly.equations) == codim
 
 
 def halfspace_outcome(fn, ineqs, dim):
