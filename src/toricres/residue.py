@@ -17,6 +17,10 @@ at the reflexive shift k -> k - (1,...,1), cross-checked against the strict
 inequalities of the cone over the Cayley polytope.  The Cayley volume and
 the two interior level bases a residue functional needs depend on the nef
 partition alone; they are built once per NefPartition and kept on it.
+
+The mixed volumes of Conjecture 3.10 are counted, not hulled: the lattice
+points of the full pieces are counted by a polynomial in the multidegree
+(McMullen), whose mixed forward differences at 0 are the mixed volumes.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from operator import add
 
 from .laurent import (
     LaurentPolynomial,
     cayley_polynomial,
+    compositions,
     hessian_by_subsets,
     log_derivative,
     mixed_hessian,
@@ -113,11 +118,11 @@ def interior_basis(nef, k, _cayley=None):
     """Basis of the interior piece at multidegree k (every k_i >= 1).
 
     The piece is the full piece at k - (1,...,1), lifted to height k:
-    {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  Two checks
+    {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  One check
     against the cone over the Cayley polytope, whose facets come from its
-    own hull and not from the vertex partition: every monomial is strictly
-    inside the cone, and the strict points of the full piece at k, listed
-    with the cone's facets as strict cuts, are exactly these monomials.
+    own hull and not from the vertex partition: the strict points of the
+    full piece at k, listed with the cone's facets as strict cuts, are
+    exactly these monomials, so each of them is strictly inside the cone.
     Only the returned piece counts against TORIC_MAX_BASIS.
     """
     k = _check_multidegree(nef, k)
@@ -126,12 +131,6 @@ def interior_basis(nef, k, _cayley=None):
     mons = [p + k for p in _guarded(nef_piece_points(nef, [m - 1 for m in k]))]
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
     level = sum(k)
-    outside = next((m for m in mons
-                    if not all(dot(n, m) + c * level > 0
-                               for n, c in cay.facets)), None)
-    require(outside is None,
-            f"interior piece at multidegree {k}: monomial {outside} is not "
-            "strictly inside the Cayley cone")
     # <(x, k), n> + c * level > 0 as a cut on x alone
     d = nef.dim
     strict = [(n[:d], 1 - c * level - dot(n[d:], k)) for n, c in cay.facets]
@@ -272,31 +271,53 @@ def mixed_residue(rf, h, k=None):
     return total
 
 
+def _mixed_volumes(nef):
+    """{a: MV(D_1^a_1, ..., D_r^a_r)} for every a >= 0 with |a| = d.
+
+    Each is the mixed a-th forward difference at 0 of the piece counts
+    L(j) = #(j_1*D_1 + ... + j_r*D_r), the sum over 0 <= j <= a of
+    (-1)^(|a| - |j|) * prod C(a_i, j_i) * L(j); each count is taken once.
+    """
+    d = nef.dim
+    counts = {}
+    out = {}
+    for a in compositions(d, nef.r):
+        mv = 0
+        for j in product(*(range(x + 1) for x in a)):
+            if j not in counts:
+                counts[j] = sum(1 for _ in nef_piece_points(nef, j))
+            mv += ((-1) ** (d - sum(j)) * math.prod(map(math.comb, a, j))
+                   * counts[j])
+        require(mv >= 0, f"mixed volume of the parts taken {a} times: the "
+                "forward difference of piece counts is negative")
+        out[a] = Fraction(mv)
+    return out
+
+
 def check_mixed_volume_identity(fs, nef, rf=None):
     """Compare each top Hessian component's residue with a mixed volume.
 
     For every positive multidegree k at the top level, the residue of the
     k-component must equal the mixed volume of the parts taken with
     multiplicities k_i - 1, and the residues must sum to the Cayley volume.
-    rf is the system's residue functional when the caller has solved it
-    already.  Returns a report dict (CLI surface: `residue conjecture310`).
+    The mixed volumes are counted from the full pieces (_mixed_volumes), so
+    the sum row compares lattice-point counts with the Cayley polytope's
+    triangulated volume.  rf is the system's residue functional when the
+    caller has solved it already.  Returns a report dict (CLI surface:
+    `residue conjecture310`).
     """
-    from .polytope import mixed_volume
-
     if rf is None:
         rf = residue_functional(fs, nef)
     if not rf.regular:
         raise ValueError("system is not regular")
     d, r = nef.dim, nef.r
+    mvs = _mixed_volumes(nef)
     rows = []
     total = Fraction(0)
     for k in positive_compositions(d + r, r):
         comp = mixed_hessian(fs, k)
         res = mixed_residue(rf, comp, k)
-        multiset = []
-        for poly, m in zip(nef.polytopes, k):
-            multiset.extend([poly] * (m - 1))
-        mv = mixed_volume(multiset)
+        mv = mvs[tuple(m - 1 for m in k)]
         rows.append({"k": k, "residue": res, "mixed_volume": mv,
                      "equal": res == mv})
         total += res

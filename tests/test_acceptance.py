@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: thirteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: fourteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -418,3 +418,22 @@ def test_criterion_13_p3xp3_residue_functional():
         assert rf.regular and len(rf.values) == 7876
 
     _run(13, 5.0, body)
+
+
+def test_criterion_14_p3xp3_mixed_volume_identity():
+    def body():
+        # Conjecture 3.10 at the paper's scale: the mixed volumes are
+        # counted from graded pieces, and their sum meets the Cayley volume
+        nef = check_nef_partition(product_parts(P3XP3))
+        residue_setup(nef)
+        _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
+        rep = check_mixed_volume_identity(fs, nef, rf)
+        got = {row["k"]: row["mixed_volume"] for row in rep["rows"]
+               if row["mixed_volume"]}
+        assert got == {(3, 3, 3): 9, (3, 4, 2): 3, (4, 3, 2): 3,
+                       (4, 4, 1): 1}
+        assert len(rep["rows"]) == 28
+        assert rep["sum"] == rep["vol"] == 16
+        assert rep["all_equal"]
+
+    _run(14, 4.0, body)

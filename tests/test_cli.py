@@ -558,7 +558,7 @@ def test_failed_check_exits_2_under_optimize(tmp_path):
     assert proc.stderr.startswith(
         "check failed: interior piece at multidegree (")
     assert proc.stderr.count("\n") == 1
-    assert "is not strictly inside the Cayley cone" in proc.stderr
+    assert "the strict points of the full piece differ" in proc.stderr
     # inside a suite the broken case is recorded and the next one runs
     p = tmp_path / "m.json"
     p.write_text(json.dumps({"cases": [

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -7,8 +8,9 @@ from fractions import Fraction
 import pytest
 from reference import reference_lattice_points
 
-from toricres import residue
+from toricres import polytope, residue
 from toricres.cli import main
+from toricres.jsonio import load_nefpart_file
 from toricres.laurent import (
     LaurentPolynomial,
     cayley_polynomial,
@@ -24,6 +26,7 @@ from toricres.polytope import (
     check_nef_partition,
     lattice_points,
     minkowski_sum_all,
+    mixed_volume,
     nef_piece_points,
 )
 from toricres.residue import (
@@ -206,7 +209,7 @@ interior_basis(nef, (2, 2), _cayley=cay)
 
 
 @pytest.mark.parametrize("shift, identity", [
-    (-1, "is not strictly inside the Cayley cone"),
+    (-1, "the strict points of the full piece differ"),
     (1, "the strict points of the full piece differ"),
 ])
 def test_interior_checks_survive_optimize(shift, identity):
@@ -357,6 +360,69 @@ def test_identity_independent_of_coefficients():
         assert rep["all_equal"] and rep["sum_equals_vol"]
         seen.append(tuple(row["residue"] for row in rep["rows"]))
     assert len(set(seen)) == 1
+
+
+# the residue_ladder partitions: weights and parts of each weighted family
+LADDER_FAMILIES = (
+    ((1, 1, 1), ((0, 1, 2),)),
+    ((1, 1, 1, 1), ((0, 1, 2, 3),)),
+    ((1, 1, 1, 1), ((0, 1), (2, 3))),
+    ((1, 1, 1, 1, 1), ((0, 1, 2, 3, 4),)),
+    ((1, 1, 1, 1, 2), ((0, 1, 2, 3, 4),)),
+    ((1, 1, 1, 1, 1), ((0, 1), (2, 3, 4))),
+)
+
+
+def seeded_wps_nef_partitions(seed, count):
+    """Nef partitions of weighted families with drawn weights and groups."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        weights = rng.choice([(1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1),
+                              (1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 3)])
+        r = rng.randint(1, 3)
+        groups = [rng.randrange(r) for _ in weights]
+        parts = [[i for i, g in enumerate(groups) if g == j]
+                 for j in sorted(set(groups))]
+        try:
+            found.append(wps_nef_partition(WpsFamily(weights, parts))[0])
+        except ValueError:
+            continue
+    return found
+
+
+def test_piece_counts_match_mixed_volume():
+    # the counts route against the subset Minkowski sum oracle, at every
+    # a >= 0 with |a| = d
+    _, p2split = load_nefpart_file(os.path.join(FIX, "p2split.json"))
+    nefs = [check_nef_partition(parts) for parts in (p2split, P4XP1_PARTS)]
+    nefs += [wps_nef_partition(WpsFamily(*fam))[0] for fam in LADDER_FAMILIES]
+    nefs += seeded_wps_nef_partitions(3, 6)
+    assert len({(nef.dim, nef.r) for nef in nefs}) >= 6
+    for nef in nefs:
+        mvs = residue._mixed_volumes(nef)
+        assert sorted(mvs) == compositions(nef.dim, nef.r)
+        for a, mv in mvs.items():
+            polys = [p for p, m in zip(nef.polytopes, a) for _ in range(m)]
+            assert type(mv) is Fraction
+            assert mv == mixed_volume(polys), (nef, a)
+        # the diagonal sums to the normalized volume of the sum of parts
+        assert sum(mv / math.prod(map(math.factorial, a))
+                   for a, mv in mvs.items()) * math.factorial(nef.dim) == (
+            nef.delta.normalized_volume())
+
+
+def test_identity_builds_no_hull(monkeypatch):
+    # once the setup exists, the mixed volumes are counted, not hulled
+    nef = check_nef_partition(P4XP1_PARTS)
+    _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
+    calls = []
+    hull = polytope._hull_description
+    monkeypatch.setattr(polytope, "_hull_description",
+                        lambda *a: calls.append(a) or hull(*a))
+    rep = check_mixed_volume_identity(fs, nef, rf)
+    assert rep["all_equal"] and rep["sum"] == rep["vol"] == 10
+    assert calls == []
 
 
 def test_residue_of_polynomial_pentagon_point():
