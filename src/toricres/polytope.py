@@ -312,20 +312,23 @@ def _cut_points(lo, hi, cuts):
     c - <x_<j, e_<j>.  A cut bounds x_j by taking every later coordinate at
     its best value over the box, so the last coordinate's range is exact:
     every leaf is a point and no point is tested.  The box is never listed.
+    The cut weights are read by column, cols[j] holding every cut's e_j.
     """
     d = len(lo)
     cuts = list(cuts)
+    cols = [[e[j] for e, _ in cuts] for j in range(d)]
     # slack[j][t]: max over the box of sum_{i > j} e_i x_i for cut t
     slack = [[0] * len(cuts)]
     for j in range(d - 1, 0, -1):
-        slack.append([s + max(e[j] * lo[j], e[j] * hi[j])
-                      for s, (e, _) in zip(slack[-1], cuts)])
+        slack.append([s + max(w * lo[j], w * hi[j])
+                      for s, w in zip(slack[-1], cols[j])])
     slack.reverse()
 
     def walk(j, prefix, need):
         a, b = lo[j], hi[j]
-        for (e, _), m, s in zip(cuts, need, slack[j]):
-            w, m = e[j], m - s  # the cut now asks w * x_j >= m
+        col = cols[j]
+        for w, m, s in zip(col, need, slack[j]):
+            m -= s  # the cut now asks w * x_j >= m
             if w > 0:
                 a = max(a, -(-m // w))
             elif w < 0:
@@ -338,7 +341,7 @@ def _cut_points(lo, hi, cuts):
             return
         for x in range(a, b + 1):
             yield from walk(j + 1, prefix + (x,),
-                            [m - e[j] * x for (e, _), m in zip(cuts, need)])
+                            [m - w * x for w, m in zip(col, need)])
 
     return walk(0, (), [c for _, c in cuts])
 
@@ -557,9 +560,14 @@ def nef_piece_points(nef, k, cuts=()):
     boxes = [_box(poly.vertices) for poly in nef.polytopes]
     lo = [sum(m * b[0][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
     hi = [sum(m * b[1][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
-    own = [(e, -m) for block, m in zip(nef.vertex_partition, k)
-           for e in block]
-    return _cut_points(lo, hi, own + list(cuts))
+    return _cut_points(lo, hi, _piece_cuts(nef, k) + list(cuts))
+
+
+def _piece_cuts(nef, k):
+    """The cuts (e, -k_i), one per dual vertex e of part i, that cut out
+    k_1*Delta_1 + ... + k_r*Delta_r."""
+    return [(e, -m) for block, m in zip(nef.vertex_partition, k)
+            for e in block]
 
 
 class DualNefPartition:

@@ -13,9 +13,13 @@ partition as {x : <x, e> >= -k_owner(e)} over the dual vertices e of
 D = D_1 + ... + D_r, because the normal fan of D refines the normal fan of
 every such sum, and enumerated from those cuts coordinate by coordinate,
 never by scanning a box.  Interior pieces (all k_i >= 1) are the same sets
-at the reflexive shift k -> k - (1,...,1), cross-checked against the strict
-inequalities of the cone over the Cayley polytope.  The Cayley volume and
-the two interior level bases a residue functional needs depend on the nef
+at the reflexive shift k -> k - (1,...,1), listed once.  They are checked
+against the strict inequalities of the cone over the Cayley polytope by a
+certificate on cuts: the full piece's cuts at k with the cone's strict cuts,
+each divided by the gcd of its normal and the tightest kept per normal, are
+the shifted piece's cuts, so both cut out the same points.  Where the cuts
+differ, the points are compared exactly instead.  The Cayley volume and the
+two interior level bases a residue functional needs depend on the nef
 partition alone; they are built once per NefPartition and kept on it.
 
 The mixed volumes of Conjecture 3.10 are counted, not hulled: the lattice
@@ -49,7 +53,7 @@ from .linalg import (
     require,
     solve_functional,
 )
-from .polytope import cayley_polytope, nef_piece_points
+from .polytope import _piece_cuts, cayley_polytope, nef_piece_points
 
 DEFAULT_MAX_BASIS = 20000
 DRAW_ATTEMPTS = 50
@@ -114,30 +118,57 @@ def graded_basis(nef, k):
                                 _guarded(nef_piece_points(nef, k))])
 
 
+def _normal_form(cuts):
+    """The integer cuts <x, e> >= c as {e/g: tightest ceil(c/g)}, g = gcd(e).
+
+    Dividing a cut by g keeps its integer points, so two systems with the
+    same normal form have the same integer points.  A cut with zero normal
+    holds as 0 >= c or leaves no point; None stands for no point.
+    """
+    out = {}
+    for e, c in cuts:
+        g = math.gcd(*e)
+        if g == 0:
+            if c > 0:
+                return None
+            continue
+        e = tuple(x // g for x in e)
+        c = -(-c // g)
+        out[e] = max(c, out.get(e, c))
+    return out
+
+
 def interior_basis(nef, k, _cayley=None):
     """Basis of the interior piece at multidegree k (every k_i >= 1).
 
     The piece is the full piece at k - (1,...,1), lifted to height k:
-    {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  One check
+    {x : <x, e> >= 1 - k_owner(e)} over the dual vertices e.  It is checked
     against the cone over the Cayley polytope, whose facets come from its
-    own hull and not from the vertex partition: the strict points of the
-    full piece at k, listed with the cone's facets as strict cuts, are
-    exactly these monomials, so each of them is strictly inside the cone.
+    own hull and not from the vertex partition: the full piece's cuts at k
+    together with the cone's facets as strict cuts must have the normal
+    form (_normal_form) of the shifted piece's cuts, so the strict points
+    of the full piece are exactly these monomials, each strictly inside
+    the cone.  When the forms differ the points decide: the strict points
+    are listed, one past the piece at most, and must equal the monomials.
     Only the returned piece counts against TORIC_MAX_BASIS.
     """
     k = _check_multidegree(nef, k)
     if any(x < 1 for x in k):
         raise ValueError("interior piece needs every k_i >= 1")
-    mons = [p + k for p in _guarded(nef_piece_points(nef, [m - 1 for m in k]))]
+    below = [m - 1 for m in k]
+    mons = [p + k for p in _guarded(nef_piece_points(nef, below))]
     cay = _cayley if _cayley is not None else cayley_polytope(nef.polytopes)
     level = sum(k)
     # <(x, k), n> + c * level > 0 as a cut on x alone
     d = nef.dim
     strict = [(n[:d], 1 - c * level - dot(n[d:], k)) for n, c in cay.facets]
-    full = [p + k for p in nef_piece_points(nef, k, strict)]
-    require(full == mons,
-            f"interior piece at multidegree {k}: the strict points of the "
-            "full piece differ from the shifted piece k - (1,...,1)")
+    if (_normal_form(_piece_cuts(nef, k) + strict)
+            != _normal_form(_piece_cuts(nef, below))):
+        full = [p + k for p in islice(nef_piece_points(nef, k, strict),
+                                      len(mons) + 1)]
+        require(full == mons,
+                f"interior piece at multidegree {k}: the strict points of "
+                "the full piece differ from the shifted piece k - (1,...,1)")
     return GradedPieceBasis(k, mons)
 
 

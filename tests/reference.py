@@ -116,17 +116,17 @@ def reference_lattice_points(poly, strict=False):
     return box_scan(*bounding_box(poly.vertices), keep)
 
 
-def reference_piece_points(nef, k):
+def reference_piece_points(nef, k, extra=()):
     """Lattice points of k_1*D_1 + ... + k_r*D_r: the sum of the scaled
     parts' boxes, filtered by <x, e> >= -k_i over the dual vertices e
-    assigned to part i."""
+    assigned to part i and by <x, e> >= c over the extra cuts (e, c)."""
     boxes = [bounding_box(poly.vertices) for poly in nef.polytopes]
     lo = [sum(m * a[j] for m, (a, _) in zip(k, boxes))
           for j in range(nef.dim)]
     hi = [sum(m * b[j] for m, (_, b) in zip(k, boxes))
           for j in range(nef.dim)]
     cuts = [(e, -m) for block, m in zip(nef.vertex_partition, k)
-            for e in block]
+            for e in block] + list(extra)
     return box_scan(lo, hi, lambda x: all(dot(e, x) >= c for e, c in cuts))
 
 

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: fourteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: fifteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from toricres import residue
 from toricres.cli import main as cli_main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -437,3 +438,27 @@ def test_criterion_14_p3xp3_mixed_volume_identity():
         assert rep["all_equal"]
 
     _run(14, 4.0, body)
+
+
+def test_criterion_15_p3xp3_residue_setup_lists_each_piece_once(
+        monkeypatch):
+    listed = []
+    real = residue.nef_piece_points
+
+    def counting(nef, k, cuts=()):
+        if cuts:
+            listed.append(k)
+        return real(nef, k, cuts)
+
+    monkeypatch.setattr(residue, "nef_piece_points", counting)
+
+    def body():
+        # both interior levels at the paper's scale, every piece certified
+        # from its cuts: no full piece is listed for the exact check
+        nef = check_nef_partition(product_parts(P3XP3))
+        setup = residue_setup(nef)
+        assert (len(setup.top), len(setup.lower)) == (7876, 2981)
+        assert setup.vol == 16
+        assert listed == []
+
+    _run(15, 1.0, body)

@@ -446,6 +446,36 @@ def test_nef_piece_points_match_box_scan_reference():
     full = reference_piece_points(nef, (2, 2))
     assert list(nef_piece_points(nef, (2, 2), [((0, 0), 0)])) == full
     assert list(nef_piece_points(nef, (2, 2), [((0, 0), 1)])) == []
+    # seeded further cuts with nonzero normals: non-primitive ones,
+    # parallel duplicates and contradictory pairs
+    rng = random.Random(15)
+    sizes = []
+    for nef, top in families:
+        for k in compositions(min(top, 3), nef.r):
+            pts = reference_piece_points(nef, k)
+            for _ in range(10):
+                e = tuple(rng.randint(-2, 2) for _ in range(nef.dim))
+                if not any(e):
+                    continue
+                vals = [dot(e, x) for x in pts]
+                c = rng.randint(min(vals), max(vals))
+                g = rng.randint(2, 3)
+                cuts = [
+                    (tuple(g * x for x in e), g * c - rng.randint(0, g - 1)),
+                    (e, c - rng.randint(0, 2)),
+                    # a slice, a contradiction or a redundant upper bound
+                    (tuple(-x for x in e),
+                     rng.choice([-c, 1 - c, -max(vals)])),
+                ]
+                rng.shuffle(cuts)
+                want = reference_piece_points(nef, k, cuts)
+                assert list(nef_piece_points(nef, k, cuts)) == want, (
+                    nef, k, cuts)
+                sizes.append((len(want), len(pts)))
+    # (size, piece size) of each result: many are empty, many cut
+    assert len(sizes) == 168
+    assert sum(n == 0 for n, _ in sizes) >= 50
+    assert sum(0 < n < m for n, m in sizes) >= 50
 
 
 def test_interior_lattice_points():

@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
+from types import SimpleNamespace
 
 import pytest
 from reference import reference_lattice_points
@@ -18,11 +20,13 @@ from toricres.laurent import (
     hessian_by_subsets,
     log_derivative,
     monomial,
+    positive_compositions,
 )
 from toricres.linalg import solve_functional
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
+    cayley_polytope,
     check_nef_partition,
     lattice_points,
     minkowski_sum_all,
@@ -148,8 +152,8 @@ def test_basis_guard(monkeypatch):
 
 
 def test_basis_guard_counts_only_the_returned_interior_piece(monkeypatch):
-    # the full piece at (2, 2), scanned for the converse check, has 16
-    # monomials; the interior piece it returns has 6
+    # the interior piece at (2, 2) has 6 monomials and is the only piece
+    # listed; the full piece (16 monomials) is checked by its cuts alone
     nef = pentagon_family()
     monkeypatch.setenv("TORIC_MAX_BASIS", "6")
     assert len(interior_basis(nef, (2, 2))) == 6
@@ -222,6 +226,73 @@ def test_interior_checks_survive_optimize(shift, identity):
     assert proc.returncode != 0
     assert "AssertionError: interior piece at multidegree (2, 2)" in proc.stderr
     assert identity in proc.stderr
+
+
+def strict_listings(monkeypatch):
+    """[k, points drawn] of each nef_piece_points call that interior_basis
+    makes with strict cuts, the full piece it lists for the exact check."""
+    calls = []
+    real = residue.nef_piece_points
+
+    def counting(nef, k, cuts=()):
+        if not cuts:
+            yield from real(nef, k)
+            return
+        calls.append([tuple(k), 0])
+        for p in real(nef, k, cuts):
+            calls[-1][1] += 1
+            yield p
+
+    monkeypatch.setattr(residue, "nef_piece_points", counting)
+    return calls
+
+
+def test_interior_pieces_are_listed_once(monkeypatch):
+    # the cone's cuts have the shifted piece's normal form at every
+    # positive k around the residue levels, so no full piece is listed
+    calls = strict_listings(monkeypatch)
+    _, p2split = load_nefpart_file(os.path.join(FIX, "p2split.json"))
+    nefs = [check_nef_partition(parts) for parts in (p2split, P4XP1_PARTS)]
+    nefs += [wps_nef_partition(WpsFamily(*fam))[0] for fam in LADDER_FAMILIES]
+    for nef in nefs:
+        n = nef.dim + nef.r
+        for level in (n - 1, n, n + 1):
+            assert len(interior_level_basis(nef, level)) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("shift, drawn", [(1, 7), (-1, 0)])
+def test_exact_fallback_draws_one_point_past_the_piece(monkeypatch, shift,
+                                                       drawn):
+    # a broken cone fails the certificate; the exact check lists the strict
+    # points only until one past the 6-point piece (the full piece has 16)
+    calls = strict_listings(monkeypatch)
+    nef = pentagon_family()
+    cay = SimpleNamespace(facets=[(n, c + shift) for n, c
+                                  in cayley_polytope(nef.polytopes).facets])
+    with pytest.raises(AssertionError, match="interior piece at multidegree "
+                       r"\(2, 2\): the strict points of the full piece "
+                       "differ"):
+        interior_basis(nef, (2, 2), _cayley=cay)
+    assert calls == [[(2, 2), drawn]]
+
+
+def test_redundant_cone_facet_takes_the_exact_check(monkeypatch):
+    # the sum of two facets holds on the cone but has a normal the shifted
+    # piece lacks: every piece takes the exact check and keeps its basis
+    for nef in (pentagon_family(), check_nef_partition(P4XP1_PARTS)):
+        cay = cayley_polytope(nef.polytopes)
+        (n1, c1), (n2, c2) = cay.facets[:2]
+        extra = SimpleNamespace(facets=cay.facets + (
+            (tuple(map(add, n1, n2)), c1 + c2),))
+        ks = positive_compositions(nef.dim + nef.r, nef.r)
+        want = [interior_basis(nef, k).monomials for k in ks]
+        calls = strict_listings(monkeypatch)
+        got = [interior_basis(nef, k, _cayley=extra).monomials for k in ks]
+        assert got == want
+        assert [k for k, _ in calls] == ks
+        assert all(n == len(m) for (_, n), m in zip(calls, want))
+        monkeypatch.undo()
 
 
 def test_system_from_coefficients_layout():
