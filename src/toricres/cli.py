@@ -8,6 +8,7 @@ separators), so a rerun with the same inputs and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -214,6 +215,12 @@ def _system_for(args, nef):
 
 def cmd_residue(args):
     nef = _load_nef(args.nefpart)
+    if args.subcommand == "eval":
+        # every input is checked before the functional is solved
+        if args.poly is None:
+            raise InputError("residue eval needs --poly")
+        h = load_laurent(args.poly, args.poly)
+        k = _parse_ints(args.k, "--k") if args.k is not None else None
     coeffs, fs, rf = _system_for(args, nef)
     base = {"coefficients": [rat_str(c) for c in coeffs]}
     if args.subcommand == "functional":
@@ -228,13 +235,9 @@ def cmd_residue(args):
                 for m, v in zip(rf.basis.monomials, rf.values)]
         return report, 0, _table(["monomial", "value"], rows)
     if args.subcommand == "eval":
-        if args.poly is None:
-            raise InputError("residue eval needs --poly")
         if not rf.regular:
             report = {"command": "residue eval", "regular": False, **base}
             return report, 2, ["system is not regular"]
-        h = load_laurent(args.poly, args.poly)
-        k = _parse_ints(args.k, "--k") if args.k is not None else None
         value = mixed_residue(rf, h, k)
         report = {"command": "residue eval", "regular": True,
                   "k": None if k is None else list(k),
@@ -382,7 +385,16 @@ def cmd_suite(args):
     return report, 0 if all_pass else 2, lines
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process.
+
+    Building it costs a few milliseconds, more than most small commands,
+    so `main` and every `suite` case share one.  Reuse is safe: each
+    `parse_args` fills a fresh Namespace, and `_Parser.error` raises
+    without leaving state behind.  With no arguments the cache holds one
+    parser.
+    """
     parser = _Parser(prog="toricres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -456,9 +468,11 @@ _HANDLERS = {
 def _run(argv):
     """Parse and run one command: (args, report, exit code, table lines).
 
-    An input error exits 1 and a failed internal check (a require() in the
-    library) exits 2; either is named on stderr, and args and report are
-    then None.  A help request exits 0 after argparse prints the usage.
+    `main` and every `suite` case run their command here, in-process,
+    through the one parser that `build_parser` caches.  An input error
+    exits 1 and a failed internal check (a require() in the library) exits
+    2; either is named on stderr, and args and report are then None.  A
+    help request exits 0 after argparse prints the usage.
     """
     try:
         args = build_parser().parse_args(argv)

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: fifteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: sixteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from toricres import residue
+from toricres import cli, residue
 from toricres.cli import main as cli_main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -462,3 +462,32 @@ def test_criterion_15_p3xp3_residue_setup_lists_each_piece_once(
         assert listed == []
 
     _run(15, 1.0, body)
+
+
+def test_criterion_16_suite_builds_one_parser(monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "toricres":  # subparsers are named below it
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+
+    def body():
+        # the shipping manifest, every case run through one parser
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["suite", "--manifest",
+                             os.path.join(FIX, "manifest.json")])
+        assert code == 0
+        assert out.getvalue().splitlines()[-2] == "SUITE PASS"
+        assert len(built) == 1
+
+    try:
+        _run(16, 1.0, body)
+    finally:
+        # later tests build the real parser again
+        cli.build_parser.cache_clear()

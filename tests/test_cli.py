@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from toricres import linalg, residue
+from toricres import cli, linalg, residue
 from toricres.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -17,13 +17,19 @@ def fx(name):
     return os.path.join(FIX, name)
 
 
-def run_optimized(*args):
-    """Run python -O with the given arguments, the package on its path."""
+def run_fresh(*args):
+    """Run a fresh interpreter with the given arguments, the package on its
+    path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-O", *args], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_optimized(*args):
+    """Run python -O with the given arguments, the package on its path."""
+    return run_fresh("-O", *args)
 
 
 def run(capsys, *argv):
@@ -235,6 +241,41 @@ def test_residue_eval_needs_poly(capsys):
                "--nefpart", fx("p2split.json"))[0] == 1
 
 
+def test_residue_eval_checks_inputs_before_solving(tmp_path, capsys,
+                                                   monkeypatch):
+    # a missing --poly or a malformed --k exits 1 before any functional is
+    # solved, on the seeded and on the explicit route alike
+    calls = []
+
+    def counting(module):
+        real = module.residue_functional
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "residue_functional", counted)
+
+    counting(residue)
+    counting(cli)
+    h = tmp_path / "h.json"
+    h.write_text('{"dim": 4, "terms": [{"exp": [0, 0, 1, 3], "coef": 1}]}')
+    for point in ((), ("--coeffs", fx("a.json"))):
+        for argv in ((), ("--poly", str(h), "--k", "a")):
+            code, report, out = run(capsys, "residue", "eval",
+                                    "--nefpart", fx("p2split.json"),
+                                    *point, *argv)
+            assert code == 1 and report is None
+            assert out.err.startswith("error: ")
+    assert calls == []
+    # the same inputs with a valid --k do reach the solve
+    code, report, _ = run(capsys, "residue", "eval",
+                          "--nefpart", fx("p2split.json"),
+                          "--coeffs", fx("a.json"),
+                          "--poly", str(h), "--k", "1,3")
+    assert code == 0 and report["residue"] == "420/101"
+    assert len(calls) == 1
+
+
 def test_conjecture310_explicit_point(capsys):
     code, report, out = run(capsys, "residue", "conjecture310",
                             "--nefpart", fx("p2split.json"),
@@ -413,6 +454,54 @@ def test_byte_determinism_same_seed(capsys):
     _, _, out1 = run(capsys, *argv)
     _, _, out2 = run(capsys, *argv)
     assert out1.out.encode() == out2.out.encode()
+
+
+def test_reused_parser_forgets_the_last_seed(capsys):
+    # one process, one parser: a command without --seed draws at seed 0
+    # whatever the command before it passed
+    argv = ("residue", "functional", "--nefpart", fx("p2split.json"))
+    _, seeded, _ = run(capsys, *argv, "--seed", "3")
+    _, report, out = run(capsys, *argv)
+    assert seeded["coefficients"] != report["coefficients"]
+    proc = run_fresh("-m", "toricres.cli", *argv)
+    assert proc.returncode == 0
+    assert out.out.encode() == proc.stdout.encode()
+
+
+def test_parse_errors_leave_golden_cases_intact(tmp_path, capsys):
+    # every shipping golden case, each run right after a case that the
+    # shared parser refuses
+    refused = [["nefpart", "check", "--nefpart", fx("p2split.json"),
+                "--bogus"],
+               ["verify", "trmc", "--family", fx("p2split.json"),
+                "--poly", fx("x1x2.json"), "--order", "x"]]
+    cases = []
+    shipping = json.load(open(fx("manifest.json")))["cases"]
+    for i, case in enumerate(c for c in shipping if "golden" in c):
+        cases.append({"name": f"refused-{i}", "argv": refused[i % 2],
+                      "expect_exit": 1})
+        case["argv"] = [fx(t) if t.endswith(".json") else t
+                        for t in case["argv"]]
+        cases.append(case)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"cases": cases}))
+    code, report, out = run(capsys, "suite", "--manifest", str(p))
+    assert code == 0 and report["ok"]
+    assert [c["golden_match"] for c in report["cases"]] == [None, True] * 9
+    assert "unrecognized arguments: --bogus" in out.err
+    assert "invalid int value: 'x'" in out.err
+
+
+def test_help_after_suite_matches_fresh_interpreter(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["suite", "--manifest", fx("manifest.json")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "trmc", "-h"]) == 0
+    text = capsys.readouterr().out
+    proc = run_fresh("-m", "toricres.cli", "verify", "trmc", "-h")
+    assert proc.returncode == 0
+    assert text.startswith("usage: toricres verify trmc")
+    assert text == proc.stdout
 
 
 def test_suite_shipping_manifest(capsys):
