@@ -28,8 +28,9 @@ from .residue import (
 from .series import (
     RationalFunctionSpec,
     TruncatedSeries,
+    _factorials,
+    _linear_form_kernel,
     expand_rational,
-    linear_form_power_coefficient,
 )
 
 
@@ -238,17 +239,26 @@ def wps_intersection_series(fam, P, order):
         raise ValueError(
             f"P must be homogeneous of degree {fam.dim}")
     order = _int(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     pw = P.evaluate(fam.weights)
     step = 1
     for dj in fam.degrees:
         step *= dj ** dj
+    wprod = 1
+    wpow = 1
+    for w in fam.weights:
+        wprod *= w
+        wpow *= w ** w
+    # prod w_i^(w_i*b + 1) = wprod * wpow^b; both powers run with b
     coeffs = {}
-    for b in range(order + 1):
-        den = 1
-        for w in fam.weights:
-            den *= w ** (w * b + 1)
-        coeffs[(b,)] = pw * Fraction(step ** b, den)
-    return TruncatedSeries(1, order, coeffs)
+    if pw:
+        num, den = pw.numerator, pw.denominator * wprod
+        for b in range(order + 1):
+            coeffs[(b,)] = Fraction(num, den)
+            num *= step
+            den *= wpow
+    return TruncatedSeries._exact(1, order, coeffs)
 
 
 def wps_closed_form(fam, P):
@@ -288,24 +298,30 @@ def product_intersection_series(fam, k, order):
     if sum(k) != want:
         raise ValueError(f"sum of k must be {want}")
     order = _int(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     ns = tuple(d + 1 for d in fam.dims)
     columns = [tuple(fam.matrix[i][j] for i in range(fam.p))
                for j in range(fam.r)]
+    # the row sums d_i + 1 give every target the total degree sum_j e_j
+    # that the kernel needs; a negative target entry gives 0
+    fact = _factorials(max(map(max, columns)) * order + 1)
     coeffs = {}
-    betas = [b for t in range(order + 1) for b in compositions(t, fam.p)]
-    for beta in betas:
-        target = tuple(n * b + d - kk
-                       for n, b, d, kk in zip(ns, beta, fam.dims, k))
-        forms = [(col, sum(c * b for c, b in zip(col, beta)) + 1)
-                 for col in columns]
-        raw = linear_form_power_coefficient(forms, target)
-        scale = 1
-        for s, b in zip(fam.y_scales, beta):
-            scale *= s ** b
-        c = raw / scale
-        if c != 0:
-            coeffs[beta] = c
-    return TruncatedSeries(fam.p, order, coeffs)
+    for t in range(order + 1):
+        for beta in compositions(t, fam.p):
+            target = tuple(n * b + d - kk
+                           for n, b, d, kk in zip(ns, beta, fam.dims, k))
+            if min(target) < 0:
+                continue
+            forms = [(col, sum(c * b for c, b in zip(col, beta)) + 1)
+                     for col in columns]
+            raw = _linear_form_kernel(forms, target, fact)
+            if raw:
+                scale = 1
+                for s, b in zip(fam.y_scales, beta):
+                    scale *= s ** b
+                coeffs[beta] = Fraction(raw, scale)
+    return TruncatedSeries._exact(fam.p, order, coeffs)
 
 
 def q_to_p(Q, parts, degree=None):
@@ -445,9 +461,10 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         cf = wps_closed_form(fam, P)
         expanded = expand_rational(cf, order)
         rows = []
+        zero = Fraction(0)
         for b in range(order + 1):
-            lhs = termwise.coefficient((b,))
-            rhs = expanded.coefficient((b,))
+            lhs = termwise.coeffs.get((b,), zero)
+            rhs = expanded.coeffs.get((b,), zero)
             rows.append({"exponent": (b,), "termwise": lhs,
                          "closed_form": rhs, "equal": lhs == rhs})
         kbar = _group_degrees(P, fam.parts)
@@ -489,10 +506,11 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         series = product_intersection_series(fam, k, order)
         expanded = expand_rational(yukawa_fixture(key, k), order)
         rows = []
+        zero = Fraction(0)
         for total in range(order + 1):
             for e in compositions(total, fam.p):
-                lhs = series.coefficient(e)
-                rhs = expanded.coefficient(e)
+                lhs = series.coeffs.get(e, zero)
+                rhs = expanded.coeffs.get(e, zero)
                 rows.append({"exponent": e, "termwise": lhs,
                              "closed_form": rhs, "equal": lhs == rhs})
         ok = all(r["equal"] for r in rows)

@@ -9,10 +9,22 @@ substitution y -> c*y, Q = c * N'(cy) / D(cy) has integer coefficients,
     Q_e = c^|e| n'_e - sum_{g != 0} D_g c^(|g|-1) Q_(e-g),
 
 and the expansion is q_e = (prod M_i^m_i / L) * Q_e / c^(|e|+1), one
-Fraction per coefficient.  Before it is returned, Q is multiplied by each
-F_i'(cy) in turn, in integers, and must give c * N'(cy): a mandatory
-residual check that shares nothing with the recurrence but the input, so
-a wrong expansion cannot escape this module.
+Fraction per coefficient.  The recurrence runs push-style: once Q_e is
+final it is subtracted into every Q_(e+g) still within the order, with
+the terms of D taken by degree, so no exponent e - g is ever formed.  The
+integer maps are keyed by packed exponents, |e| followed by the entries
+of e as digits in base order + 1; every digit is at most the order, so
+adding two keys of total degree <= order adds their exponents with no
+carry, and the key order is the degree order.  Before it is returned, Q
+is multiplied by each F_i'(cy) in turn, in integers, and must give
+c * N'(cy): a mandatory residual check that shares nothing with the
+recurrence but the input, so a wrong expansion cannot escape this module.
+
+A coefficient of a product of powers of linear forms is taken termwise by
+one integer kernel: each power is expanded by multinomials only over the
+variables where its form is nonzero, with the factorials read from one
+table that a caller builds once and shares across all its coefficients.
+This route shares nothing with the closed forms or their expansion.
 
 Orders, exponents and multiplicities must be ints, and coefficients ints
 or Fractions; a float is refused with a TypeError naming the argument.
@@ -22,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 from .laurent import compositions
 from .linalg import _coef, _int, require
@@ -85,8 +97,11 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     def coefficient(self, exp):
-        return self.coeffs.get(tuple(_int(x, "exponent entry") for x in exp),
-                               Fraction(0))
+        exp = tuple(_int(x, "exponent entry") for x in exp)
+        if len(exp) != self.nvars:
+            raise ValueError(
+                f"exponent {exp} must have {self.nvars} entries")
+        return self.coeffs.get(exp, Fraction(0))
 
     def _join(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -204,33 +219,43 @@ class RationalFunctionSpec:
         return result
 
 
-def _integral(poly):
-    """(P, L) with poly = P / L, P an integer map and L the least common
-    denominator of poly's coefficients."""
+def _integral(poly, base, order):
+    """(P, L) with poly = P / L: L is the least common denominator of
+    poly's coefficients and P the integer map of L * poly, keyed by packed
+    exponents (see the module docstring), without terms of degree > order."""
     lcd = math.lcm(*(c.denominator for c in poly.values()))
-    return {e: c.numerator * (lcd // c.denominator)
-            for e, c in poly.items()}, lcd
+    packed = {}
+    for e, c in poly.items():
+        key = sum(e)
+        if key <= order:
+            for x in e:
+                key = key * base + x
+            packed[key] = c.numerator * (lcd // c.denominator)
+    return packed, lcd
 
 
-def _truncated_product(a, b, order):
-    """a * b for integer exponent maps, without terms of degree > order."""
-    small = [(e, c, sum(e)) for e, c in b.items()]
+def _truncated_product(a, b, limit):
+    """a * b for packed integer maps, without keys >= limit: the terms of
+    degree above the order when limit is (order + 1)^(nvars + 1)."""
+    small = sorted(b.items())
     out = {}
-    for e1, c1 in a.items():
-        room = order - sum(e1)
-        for e2, c2, d2 in small:
-            if d2 <= room:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    for k1, c1 in a.items():
+        room = limit - k1
+        for k2, c2 in small:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def _denominator(nvars, factors, order):
-    """prod F^m over the (integer map F, m) pairs, to the given order."""
-    out = {(0,) * nvars: 1}
+    """prod F^m over the (packed integer map F, m) pairs, to the order."""
+    limit = (order + 1) ** (nvars + 1)
+    out = {0: 1}
     for fac, mult in factors:
         for _ in range(mult):
-            out = _truncated_product(out, fac, order)
+            out = _truncated_product(out, fac, limit)
     return out
 
 
@@ -247,44 +272,112 @@ def expand_rational(spec, order):
     if order < 0:
         raise ValueError("order must be >= 0")
     nvars = spec.nvars
-    num, scale_den = _integral(spec.numerator)
+    base = order + 1
+    unit = base ** nvars  # a packed key's degree is key // unit
+    num, scale_den = _integral(spec.numerator, base, order)
     scale_num = 1
     factors = []
     for fac, mult in spec.denominator_factors:
-        fac, lcd = _integral(fac)
+        fac, lcd = _integral(fac, base, order)
         factors.append((fac, mult))
         scale_num *= lcd ** mult
     den = _denominator(nvars, factors, order)
-    zero = (0,) * nvars
-    c = den[zero]
+    c = den.pop(0)
     cpow = [1]
-    for _ in range(order + 1):
+    for _ in range(base):
         cpow.append(cpow[-1] * c)
-    rest = [(g, d * cpow[sum(g) - 1]) for g, d in den.items() if g != zero]
+    rest = sorted((g, g // unit, d * cpow[g // unit - 1])
+                  for g, d in den.items())
+    pending = [{} for _ in range(base)]  # pending[t]: Q at degree t so far
+    for key, n in num.items():
+        pending[key // unit][key] = n * cpow[key // unit]
     q = {}
-    for total in range(order + 1):
-        ct = cpow[total]
-        for e in compositions(total, nvars):
-            acc = num.get(e, 0) * ct
-            for g, d in rest:
-                prev = q.get(tuple(map(sub, e, g)))
-                if prev:
-                    acc -= d * prev
-            if acc:
-                q[e] = acc
+    for total in range(base):
+        for key, acc in pending[total].items():
+            if not acc:
+                continue
+            q[key] = acc
+            for g, deg, d in rest:
+                if total + deg > order:
+                    break
+                ahead = pending[total + deg]
+                ahead[key + g] = ahead.get(key + g, 0) - d * acc
+        pending[total] = None
     check = q
+    limit = base * unit
     for fac, mult in factors:
-        scaled = {g: f * cpow[sum(g)] for g, f in fac.items()
-                  if sum(g) <= order}
+        scaled = {g: f * cpow[g // unit] for g, f in fac.items()}
         for _ in range(mult):
-            check = _truncated_product(check, scaled, order)
-    require(check == {e: n * cpow[sum(e) + 1] for e, n in num.items()
-                      if sum(e) <= order},
+            check = _truncated_product(check, scaled, limit)
+    require(check == {k: n * cpow[k // unit + 1] for k, n in num.items()},
             "expand_rational: expansion * denominator != numerator")
-    return TruncatedSeries._exact(
-        nvars, order,
-        {e: Fraction(scale_num * v, scale_den * cpow[sum(e) + 1])
-         for e, v in q.items()})
+    coeffs = {}
+    for key, v in q.items():
+        e = [0] * nvars
+        for i in range(nvars - 1, -1, -1):
+            key, e[i] = divmod(key, base)
+        coeffs[tuple(e)] = Fraction(scale_num * v,
+                                    scale_den * cpow[key + 1])
+    return TruncatedSeries._exact(nvars, order, coeffs)
+
+
+def _factorials(top):
+    """[0!, 1!, ..., top!], the table a caller shares across its calls of
+    the linear-form kernel."""
+    fact = [1] * (top + 1)
+    for i in range(1, top + 1):
+        fact[i] = fact[i - 1] * i
+    return fact
+
+
+def _linear_form_kernel(forms, target, fact):
+    """Integer coefficient of z^target in prod_j (sum_i v_{ji} z_i)^(e_j).
+
+    forms: (int vector, e_j) pairs; target: nonnegative ints of total degree
+    sum_j e_j; fact: k! for every k up to the largest e_j.  Each power is
+    expanded by the multinomial theorem, e!/prod m_i! * prod v_i^m_i, over
+    the compositions m of e supported where v_i != 0 that fit under target
+    minus the exponent built so far; the forms are convolved in order, and
+    the last one contributes its single term m = target - (partial
+    exponent).  An all-zero form contributes 1 to the power 0 and kills the
+    product to any higher power.
+    """
+    if not forms:
+        return 1
+
+    def term(e, m, vals):
+        coef = fact[e]
+        for mi in m:
+            coef //= fact[mi]
+        for v, mi in zip(vals, m):
+            coef *= v ** mi
+        return coef
+
+    current = {(0,) * len(target): 1}
+    for vec, e in forms[:-1]:
+        support = [i for i, v in enumerate(vec) if v]
+        vals = [vec[i] for i in support]
+        nxt = {}
+        for mono, coef in current.items():
+            caps = [target[i] - mono[i] for i in support]
+            for m in compositions(e, len(support), caps):
+                key = list(mono)
+                for i, mi in zip(support, m):
+                    key[i] += mi
+                key = tuple(key)
+                nxt[key] = nxt.get(key, 0) + coef * term(e, m, vals)
+        if not nxt:
+            return 0
+        current = nxt
+    vec, e = forms[-1]
+    support = [i for i, v in enumerate(vec) if v]
+    vals = [vec[i] for i in support]
+    total = 0
+    for mono, coef in current.items():
+        if any(t != x for t, x, v in zip(target, mono, vec) if not v):
+            continue
+        total += coef * term(e, [target[i] - mono[i] for i in support], vals)
+    return total
 
 
 def linear_form_power_coefficient(forms, target):
@@ -292,17 +385,17 @@ def linear_form_power_coefficient(forms, target):
 
     forms: list of (coefficient vector over the z variables, exponent e_j).
     Every form is homogeneous linear, so only a nonnegative target of total
-    degree sum_j e_j can have a nonzero coefficient.  Each power is
-    expanded by the multinomial theorem, e!/prod m_i! * prod v_i^m_i, over
-    the compositions m that fit under target minus the exponent built so
-    far and vanish where v_i = 0; the forms are convolved in order, and the
-    last one contributes its single term m = target - (partial exponent).
-    Integer entries stay integers until the one Fraction of the result.
-    This route is independent of the closed forms and their expansions.
+    degree sum_j e_j can have a nonzero coefficient.  Each form is cleared
+    of denominators, v_j = v'_j / L_j, and the integer kernel (see
+    _linear_form_kernel) takes the coefficient for the v'_j with a
+    factorial table built once; the result is that integer over
+    prod_j L_j^(e_j), the one Fraction of the call.  This route is
+    independent of the closed forms and their expansions.
     """
     target = tuple(_int(x, "target entry") for x in target)
     nvars = len(target)
     clean = []
+    scale = 1
     for vec, e in forms:
         vec = [_coef(x, "linear form entry") for x in vec]
         if len(vec) != nvars:
@@ -310,37 +403,10 @@ def linear_form_power_coefficient(forms, target):
         e = _int(e, "linear form power")
         if e < 0:
             raise ValueError("negative power of a linear form")
-        clean.append(([int(v) if v.denominator == 1 else v for v in vec], e))
+        lcd = math.lcm(*(v.denominator for v in vec))
+        clean.append(([v.numerator * (lcd // v.denominator) for v in vec], e))
+        scale *= lcd ** e
     if any(x < 0 for x in target) or sum(target) != sum(e for _, e in clean):
         return Fraction(0)
-    if not clean:
-        return Fraction(1)
-    fact = [1]
-    for i in range(1, max(e for _, e in clean) + 1):
-        fact.append(fact[-1] * i)
-
-    def term(vec, e, m):
-        coef = fact[e]
-        for mi in m:
-            coef //= fact[mi]
-        for v, mi in zip(vec, m):
-            if mi:
-                coef *= v ** mi
-        return coef
-
-    current = {(0,) * nvars: 1}
-    for vec, e in clean[:-1]:
-        nxt = {}
-        for mono, coef in current.items():
-            caps = [t - x if v else 0 for t, x, v in zip(target, mono, vec)]
-            for m in compositions(e, nvars, caps):
-                key = tuple(x + mi for x, mi in zip(mono, m))
-                nxt[key] = nxt.get(key, 0) + coef * term(vec, e, m)
-        current = nxt
-    vec, e = clean[-1]
-    total = 0
-    for mono, coef in current.items():
-        m = [t - x for t, x in zip(target, mono)]
-        if all(mi == 0 or v for v, mi in zip(vec, m)):
-            total += coef * term(vec, e, m)
-    return Fraction(total)
+    fact = _factorials(max((e for _, e in clean), default=0))
+    return Fraction(_linear_form_kernel(clean, target, fact), scale)

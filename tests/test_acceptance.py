@@ -491,3 +491,15 @@ def test_criterion_16_suite_builds_one_parser(monkeypatch):
     finally:
         # later tests build the real parser again
         cli.build_parser.cache_clear()
+
+
+def test_criterion_17_product_families_at_order_40():
+    def body():
+        # the termwise series, one factorial table per series and
+        # multinomials over each form's support only, meets the
+        # closed-form fixtures to order 40
+        for fam in (P3XP3, P4XP1):
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                assert verify_family(fam, 40, k=k)["ok"]
+
+    _run(17, 1.0, body)

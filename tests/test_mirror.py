@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from reference import reference_linear_form_coefficient
+from toricres import mirror, series
 from toricres.laurent import LaurentPolynomial, compositions, monomial
 from toricres.mirror import (
     P3XP3,
@@ -170,6 +172,105 @@ def test_product_series_scale_convention():
     raw = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)))
     s = product_intersection_series(raw, (2, 1), 1)
     assert s.coefficient((1, 0)) == 18 * 27
+
+
+def test_series_orders_must_be_nonnegative():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        product_intersection_series(P3XP3, (2, 1), -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        wps_intersection_series(
+            quintic_family(), monomial(5, (0, 1, 1, 1, 1)), -1)
+
+
+def test_wps_series_of_a_polynomial_vanishing_at_the_weights():
+    fam = quintic_family()
+    P = LaurentPolynomial(5, {(0, 1, 1, 1, 1): 1, (1, 0, 1, 1, 1): -1})
+    s = wps_intersection_series(fam, P, 5)
+    assert s.coeffs == {}
+    assert s == expand_rational(wps_closed_form(fam, P), 5)
+
+
+def random_product_family(rng):
+    """dims 1-3 on 1-3 factors; each row spreads d_i + 1 over a random
+    subset of the r columns, so zero entries and single-support columns
+    are common."""
+    p = rng.randint(1, 3)
+    dims = [rng.randint(1, 3) for _ in range(p)]
+    r = rng.randint(1, min(4, sum(dims)))
+    matrix = []
+    for d in dims:
+        support = rng.sample(range(r), rng.randint(1, min(r, d + 1)))
+        row = [0] * r
+        for i in support:
+            row[i] = 1
+        for _ in range(d + 1 - len(support)):
+            row[rng.choice(support)] += 1
+        matrix.append(row)
+    scales = [rng.randint(1, 4) for _ in range(p)]
+    return ProductFamily(dims, matrix, scales)
+
+
+def test_product_series_matches_factor_by_factor_reference():
+    rng = random.Random(17)
+    seen = {"zero entry": 0, "single support": 0, "scale": 0, "nonzero": 0}
+    for _ in range(24):
+        fam = random_product_family(rng)
+        k = [0] * fam.p
+        for _ in range(fam.ambient_dim - fam.r):
+            k[rng.randrange(fam.p)] += 1
+        order = 9 - fam.p
+        got = product_intersection_series(fam, k, order)
+        columns = list(zip(*fam.matrix))
+        seen["zero entry"] += 0 in sum(columns, ())
+        seen["single support"] += fam.p > 1 and any(
+            sum(1 for x in col if x) == 1 for col in columns)
+        seen["scale"] += fam.y_scales != (1,) * fam.p
+        for total in range(order + 1):
+            for b in compositions(total, fam.p):
+                target = [(d + 1) * bi + d - ki
+                          for d, bi, ki in zip(fam.dims, b, k)]
+                forms = [(col, sum(c * bi for c, bi in zip(col, b)) + 1)
+                         for col in columns]
+                scale = math.prod(s ** bi for s, bi in zip(fam.y_scales, b))
+                want = reference_linear_form_coefficient(forms, target)
+                assert got.coefficient(b) == want / scale
+                seen["nonzero"] += want != 0
+        assert all(got.coeffs.values())
+    assert min(seen.values()) >= 5, seen
+
+
+def test_product_series_builds_one_fraction_per_coefficient(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = product_intersection_series(P4XP1, (1, 2), 12)
+    monkeypatch.undo()
+    assert len(got.coeffs) > 50
+    assert len(made) == len(got.coeffs)
+    assert got == expand_rational(yukawa_fixture("P4xP1", (1, 2)), 12)
+
+
+def test_product_series_builds_one_factorial_table(monkeypatch):
+    built = []
+    real = series._factorials
+
+    def counting(top):
+        built.append(top)
+        return real(top)
+
+    # either route to the kernel would count: the series' own table and
+    # the public linear_form_power_coefficient's
+    monkeypatch.setattr(series, "_factorials", counting)
+    monkeypatch.setattr(mirror, "_factorials", counting)
+    got = product_intersection_series(P4XP1, (1, 2), 12)
+    assert got.coeffs
+    # the largest power is that of the column (4, 0) at beta = (12, 0)
+    assert built == [4 * 12 + 1]
 
 
 def test_product_series_validation():

@@ -52,6 +52,15 @@ def test_constructor_rejects_bad_exponents():
         TruncatedSeries(1, -1, {})
 
 
+def test_coefficient_checks_the_exponent_length():
+    s = TruncatedSeries(2, 3, {(1, 0): 1})
+    assert s.coefficient((1, 0)) == 1
+    assert s.coefficient((0, 1)) == 0
+    for bad in ((1, 0, 0), (1,)):
+        with pytest.raises(ValueError, match="must have 2 entries"):
+            s.coefficient(bad)
+
+
 def test_series_is_immutable():
     s = one_var(3, {0: 1})
     with pytest.raises(AttributeError):
@@ -449,6 +458,17 @@ def test_linear_form_matches_factor_by_factor_reference():
         assert got == reference_linear_form_coefficient(forms, target)
         nonzero += got != 0
     assert nonzero > 150
+    # an all-zero form contributes 1 to the power 0 and kills the product
+    # to any higher power, first or last in the product
+    for forms, target, want in [
+            ([((0, 0), 0), ((1, 2), 2)], (1, 1), 4),
+            ([((1, 2), 2), ((0, 0), 0)], (1, 1), 4),
+            ([((0, 0), 0)], (0, 0), 1),
+            ([((0, 0), 3), ((1, 2), 2)], (4, 1), 0),
+            ([((1, 2), 2), ((0, 0), 1)], (2, 1), 0),
+            ([((0, Fraction(0)), 2)], (1, 1), 0)]:
+        got = linear_form_power_coefficient(forms, target)
+        assert got == want == reference_linear_form_coefficient(forms, target)
 
 
 def test_inv_factorial():
