@@ -221,6 +221,8 @@ def cmd_residue(args):
             raise InputError("residue eval needs --poly")
         h = load_laurent(args.poly, args.poly)
         k = _parse_ints(args.k, "--k") if args.k is not None else None
+        if k is not None and len(k) != nef.r:
+            raise InputError(f"--k must have {nef.r} entries, got {len(k)}")
     coeffs, fs, rf = _system_for(args, nef)
     base = {"coefficients": [rat_str(c) for c in coeffs]}
     if args.subcommand == "functional":

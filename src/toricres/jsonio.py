@@ -50,7 +50,8 @@ def _reject_float(text):
 def load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_reject_float)
+            return json.load(fh, parse_float=_reject_float,
+                             parse_constant=_reject_float)
     except InputError as e:
         raise InputError(f"{path}: {e}")
     except FileNotFoundError:

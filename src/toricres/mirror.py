@@ -2,9 +2,18 @@
 
 Covered families: hypersurface/complete-intersection data on a weighted
 projective space (one series variable), and on a product of projective
-spaces (one variable per factor).  Both pipelines produce exact rational
+spaces (one variable per factor).  Both kinds produce exact rational
 coefficients; the weighted case also has a closed form, and the two
 bundled product fixtures have closed-form couplings (yukawa_fixture).
+
+verify_family runs one pipeline for both kinds.  It checks every input
+first.  Only then does the family kind supply its closed-form spec, its
+termwise series and, for weighted families only, rows comparing the
+closed form with the residue pairing at coefficient points.  One loop
+over the exponents up to the order compares the termwise series with the
+expanded closed form, whatever the number of series variables.  The
+termwise coefficients never go through the closed form's expansion, and
+the residue pairing never reads either series.
 
 Curve classes are enumerated over the nonnegative orthant (a single ray in
 the weighted case), and coefficients whose extraction window is empty are
@@ -52,12 +61,7 @@ class WpsFamily:
             raise ValueError("weights must be positive, two or more")
         if math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
-        parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
-                      for part in parts)
-        seen = [i for part in parts for i in part]
-        if sorted(seen) != list(range(len(weights))) or not all(parts):
-            raise ValueError(
-                "parts must split the coordinate indices into nonempty groups")
+        parts = _split_parts(parts, len(weights))
         degrees = tuple(sum(weights[i] for i in part) for part in parts)
         total = sum(weights)
         for w in weights:
@@ -162,6 +166,18 @@ def _fixture_key(fam):
     return None
 
 
+def _split_parts(parts, n=None):
+    """parts as sorted int tuples, checked to split the coordinate indices
+    0..n-1 into nonempty groups; n defaults to the number of indices."""
+    parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
+                  for part in parts)
+    seen = sorted(i for part in parts for i in part)
+    if seen != list(range(len(seen) if n is None else n)) or not all(parts):
+        raise ValueError(
+            "parts must split the coordinate indices into nonempty groups")
+    return parts
+
+
 def _check_polynomial(P, nvars, what="P"):
     if not isinstance(P, LaurentPolynomial):
         raise TypeError(f"{what} must be a LaurentPolynomial")
@@ -228,28 +244,27 @@ def wps_nef_partition(fam):
     return nef, tuple(positions)
 
 
+def _wps_constants(fam, P):
+    """(P(w), prod w_i, prod w_i^w_i, prod d_j^d_j) for a P of degree dim."""
+    _check_polynomial(P, fam.n)
+    if _total_degree(P) != fam.dim:
+        raise ValueError(
+            f"P must be homogeneous of degree {fam.dim}")
+    return (P.evaluate(fam.weights), math.prod(fam.weights),
+            math.prod(w ** w for w in fam.weights),
+            math.prod(dj ** dj for dj in fam.degrees))
+
+
 def wps_intersection_series(fam, P, order):
     """Termwise generating series: each coefficient from its own product.
 
     Coefficient at y^b is P(w) * (prod d_j^d_j)^b / prod w_i^(w_i*b + 1),
     computed independently of the closed form.
     """
-    _check_polynomial(P, fam.n)
-    if _total_degree(P) != fam.dim:
-        raise ValueError(
-            f"P must be homogeneous of degree {fam.dim}")
+    pw, wprod, wpow, step = _wps_constants(fam, P)
     order = _int(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
-    pw = P.evaluate(fam.weights)
-    step = 1
-    for dj in fam.degrees:
-        step *= dj ** dj
-    wprod = 1
-    wpow = 1
-    for w in fam.weights:
-        wprod *= w
-        wpow *= w ** w
     # prod w_i^(w_i*b + 1) = wprod * wpow^b; both powers run with b
     coeffs = {}
     if pw:
@@ -263,23 +278,9 @@ def wps_intersection_series(fam, P, order):
 
 def wps_closed_form(fam, P):
     """Rational form nu * P(w) / (1 - mu*y) of the same series."""
-    _check_polynomial(P, fam.n)
-    if _total_degree(P) != fam.dim:
-        raise ValueError(
-            f"P must be homogeneous of degree {fam.dim}")
-    pw = P.evaluate(fam.weights)
-    wprod = 1
-    wpow = 1
-    for w in fam.weights:
-        wprod *= w
-        wpow *= w ** w
-    step = 1
-    for dj in fam.degrees:
-        step *= dj ** dj
-    nu = Fraction(1, wprod)
-    mu = Fraction(step, wpow)
+    pw, wprod, wpow, step = _wps_constants(fam, P)
     return RationalFunctionSpec(
-        1, {(0,): nu * pw}, [({(0,): Fraction(1), (1,): -mu}, 1)])
+        1, {(0,): pw / wprod}, [({(0,): 1, (1,): -Fraction(step, wpow)}, 1)])
 
 
 def product_intersection_series(fam, k, order):
@@ -331,13 +332,8 @@ def q_to_p(Q, parts, degree=None):
     groups.  When the target total degree of the result is known, pass it
     as degree and Q is checked against degree - r up front.
     """
-    parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
-                      for part in parts)
-    n = max((i for part in parts for i in part), default=-1) + 1
-    seen = sorted(i for part in parts for i in part)
-    if seen != list(range(n)) or not all(parts):
-        raise ValueError(
-            "parts must split the coordinate indices into nonempty groups")
+    parts = _split_parts(parts)
+    n = sum(map(len, parts))
     _check_polynomial(Q, n, "Q")
     _group_degrees(Q, parts, "Q")
     if degree is not None:
@@ -421,7 +417,7 @@ def draw_wps_points(fam, rng, count=2):
     return [pt for pt, _ in _draw_solved(nef, positions, rng, count)]
 
 
-def _wps_residue_value(fam, nef, positions, P, point, kbar, rf=None):
+def _wps_residue_value(nef, positions, P, point, kbar, rf=None):
     coeffs = [None] * len(nef.points)
     for i, a in enumerate(point):
         coeffs[positions[i]] = a
@@ -450,51 +446,44 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     points drawn from rng as draw_wps_points does (each point's functional
     is solved once, for the draw and the pairing), or two fixed points.
     Product families: the extraction series against the bundled
-    closed-form fixture.  Returns a report dict whose "ok" is True only
-    when every comparison is an exact match.
+    closed-form fixture.  Every input is checked before any series is
+    built.  Returns a report dict whose "ok" is True only when every
+    comparison is an exact match.
     """
     order = _int(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if isinstance(fam, WpsFamily):
         if P is None:
             raise ValueError("a weighted family needs the polynomial P")
-        termwise = wps_intersection_series(fam, P, order)
-        cf = wps_closed_form(fam, P)
-        expanded = expand_rational(cf, order)
-        rows = []
-        zero = Fraction(0)
-        for b in range(order + 1):
-            lhs = termwise.coeffs.get((b,), zero)
-            rhs = expanded.coeffs.get((b,), zero)
-            rows.append({"exponent": (b,), "termwise": lhs,
-                         "closed_form": rhs, "equal": lhs == rhs})
-        kbar = _group_degrees(P, fam.parts)
-        nef, positions = wps_nef_partition(fam)
         if points is not None and rng is not None:
             raise ValueError("give coefficient points or an rng, not both")
-        if rng is not None:
-            solved = _draw_solved(nef, positions, rng, 2)
-        else:
+        if rng is None:
             if points is None:
                 points = _default_points(fam.n)
-            solved = [(tuple(_coef(a, "point coordinate") for a in pt), None)
+            points = [tuple(_coef(a, "point coordinate") for a in pt)
                       for pt in points]
-        if len(solved) < 2:
-            raise ValueError("at least two coefficient points are required")
+            if len(points) < 2:
+                raise ValueError(
+                    "at least two coefficient points are required")
+            for pt in points:
+                if len(pt) != fam.n or any(a == 0 for a in pt):
+                    raise ValueError(f"bad coefficient point {pt}")
+        mode = "wps"
+        spec = wps_closed_form(fam, P)
+        kbar = _group_degrees(P, fam.parts)
+        nef, positions = wps_nef_partition(fam)
+        termwise = wps_intersection_series(fam, P, order)
+        solved = (_draw_solved(nef, positions, rng, 2) if rng is not None
+                  else [(pt, None) for pt in points])
         point_rows = []
         for pt, rf in solved:
-            if len(pt) != fam.n or any(a == 0 for a in pt):
-                raise ValueError(f"bad coefficient point {pt}")
-            y = Fraction(1)
-            for a, w in zip(pt, fam.weights):
-                y *= a ** w
-            closed = cf.evaluate([y])
-            res = _wps_residue_value(fam, nef, positions, P, pt, kbar, rf)
+            y = math.prod((a ** w for a, w in zip(pt, fam.weights)),
+                          start=Fraction(1))
+            closed = spec.evaluate([y])
+            res = _wps_residue_value(nef, positions, P, pt, kbar, rf)
             point_rows.append({"a": pt, "y": y, "closed_form": closed,
                                "residue": res, "equal": closed == res})
-        ok = all(r["equal"] for r in rows) and all(
-            r["equal"] for r in point_rows)
-        report = {"mode": "wps", "order": order, "rows": rows,
-                  "points": point_rows, "ok": ok}
     elif isinstance(fam, ProductFamily):
         if k is None:
             raise ValueError("a product family needs the index tuple k")
@@ -503,20 +492,24 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
             raise ValueError(
                 "no bundled closed form matches this product family")
         k = tuple(_int(x, "k entry") for x in k)
-        series = product_intersection_series(fam, k, order)
-        expanded = expand_rational(yukawa_fixture(key, k), order)
-        rows = []
-        zero = Fraction(0)
-        for total in range(order + 1):
-            for e in compositions(total, fam.p):
-                lhs = series.coeffs.get(e, zero)
-                rhs = expanded.coeffs.get(e, zero)
-                rows.append({"exponent": e, "termwise": lhs,
-                             "closed_form": rhs, "equal": lhs == rhs})
-        ok = all(r["equal"] for r in rows)
-        report = {"mode": "product", "order": order, "rows": rows,
-                  "points": [], "ok": ok}
+        mode = "product"
+        # k is checked here before any coefficient is taken; every k that
+        # passes has a bundled closed form
+        termwise = product_intersection_series(fam, k, order)
+        spec = yukawa_fixture(key, k)
+        point_rows = []
     else:
         raise TypeError("expected a WpsFamily or ProductFamily")
-    report["mismatches"] = [r for r in report["rows"] if not r["equal"]]
-    return report
+    expanded = expand_rational(spec, order)
+    rows = []
+    zero = Fraction(0)
+    for total in range(order + 1):
+        for e in compositions(total, spec.nvars):
+            lhs = termwise.coeffs.get(e, zero)
+            rhs = expanded.coeffs.get(e, zero)
+            rows.append({"exponent": e, "termwise": lhs,
+                         "closed_form": rhs, "equal": lhs == rhs})
+    mismatches = [r for r in rows if not r["equal"]]
+    return {"mode": mode, "order": order, "rows": rows, "points": point_rows,
+            "ok": not mismatches and all(r["equal"] for r in point_rows),
+            "mismatches": mismatches}

@@ -282,14 +282,16 @@ def residue_functional(fs, nef):
 def mixed_residue(rf, h, k=None):
     """Evaluate the functional on an element supported in the top basis.
 
-    With k given, every monomial of h must carry exactly that trailing
-    block.  Support outside the recorded basis signals a mis-built element
-    and is rejected.
+    With k given, every monomial of h must carry exactly that nonempty
+    trailing block.  Support outside the recorded basis signals a mis-built
+    element and is rejected.
     """
     if not rf.regular:
         raise ValueError("functional is not regular")
     if k is not None:
         k = tuple(_int(x, "multidegree entry") for x in k)
+        if not k:
+            raise ValueError("multidegree k must be nonempty")
         for e in h.terms:
             if e[len(e) - len(k):] != k:
                 raise ValueError(f"monomial {e} is not of multidegree {k}")

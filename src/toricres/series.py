@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .laurent import compositions
+from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, require
 
 
@@ -200,19 +200,9 @@ class RationalFunctionSpec:
         values = [_coef(v, "value") for v in values]
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-
-        def poly_at(poly):
-            total = Fraction(0)
-            for e, c in poly.items():
-                term = c
-                for v, k in zip(values, e):
-                    term *= v ** k
-                total += term
-            return total
-
-        result = poly_at(self.numerator)
+        result = LaurentPolynomial(self.nvars, self.numerator).evaluate(values)
         for fac, mult in self.denominator_factors:
-            val = poly_at(fac)
+            val = LaurentPolynomial(self.nvars, fac).evaluate(values)
             if val == 0:
                 raise ZeroDivisionError("denominator factor vanishes")
             result /= val ** mult

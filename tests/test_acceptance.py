@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: sixteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: seventeen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:

@@ -243,8 +243,9 @@ def test_residue_eval_needs_poly(capsys):
 
 def test_residue_eval_checks_inputs_before_solving(tmp_path, capsys,
                                                    monkeypatch):
-    # a missing --poly or a malformed --k exits 1 before any functional is
-    # solved, on the seeded and on the explicit route alike
+    # a missing --poly, a malformed --k or one without an entry per part
+    # exits 1 before any functional is solved, on the seeded and on the
+    # explicit route alike
     calls = []
 
     def counting(module):
@@ -260,7 +261,9 @@ def test_residue_eval_checks_inputs_before_solving(tmp_path, capsys,
     h = tmp_path / "h.json"
     h.write_text('{"dim": 4, "terms": [{"exp": [0, 0, 1, 3], "coef": 1}]}')
     for point in ((), ("--coeffs", fx("a.json"))):
-        for argv in ((), ("--poly", str(h), "--k", "a")):
+        for argv in ((), ("--poly", str(h), "--k", "a"),
+                     ("--poly", str(h), "--k", "3"),
+                     ("--poly", str(h), "--k", "1,1,3")):
             code, report, out = run(capsys, "residue", "eval",
                                     "--nefpart", fx("p2split.json"),
                                     *point, *argv)

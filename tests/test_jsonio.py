@@ -63,6 +63,19 @@ def test_load_json_rejects_floats(tmp_path):
     assert "f.json" in str(e.value)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_nonfinite_constants(tmp_path, constant):
+    # json hands these to parse_constant, not parse_float
+    path = write(tmp_path, "c.json", f'{{"coeffs": [1, {constant}]}}')
+    with pytest.raises(InputError, match=constant):
+        load_coeffs_file(path)
+    path = write(tmp_path, "m.json",
+                 '{"cases": [{"name": "x", "argv": ["a"],'
+                 f' "golden": {{"a": {constant}}}}}]}}')
+    with pytest.raises(InputError, match=constant):
+        load_manifest_file(path)
+
+
 def test_load_json_syntax_error_position(tmp_path):
     path = write(tmp_path, "bad.json", '{"dim": 2,\n  "points": [[1, }')
     with pytest.raises(InputError) as e:

@@ -435,3 +435,47 @@ def test_verify_family_point_validation():
     with pytest.raises(ValueError):
         verify_family(fam, 3, P=monomial(3, (1, 1, 0)),
                       points=[(1, 1), (1, 1)])
+
+
+_X1X2 = monomial(3, (1, 1, 0))
+
+
+@pytest.mark.parametrize("fam, kwargs", [
+    pytest.param(split_family(), dict(P=_X1X2, points=[(1, 1, 1), (1, 2, 3)],
+                                      rng=random.Random(0)), id="points-rng"),
+    pytest.param(split_family(), dict(P=_X1X2, points=[(1, 2, 3)]),
+                 id="one-point"),
+    pytest.param(split_family(), dict(P=_X1X2,
+                                      points=[(1, 2, 3), (1, 0, 3)]),
+                 id="zero-coordinate"),
+    pytest.param(split_family(), dict(P=_X1X2, points=[(1, 2, 3), (1, 2)]),
+                 id="short-point"),
+    pytest.param(split_family(), dict(P=_X1X2, order=-1), id="order"),
+    # degree 2 overall, but not homogeneous in the groups {x1}, {x2, x3}
+    pytest.param(split_family(), dict(P=monomial(3, (2, 0, 0))
+                                      + monomial(3, (0, 1, 1))),
+                 id="group-degrees"),
+    pytest.param(split_family(), dict(), id="no-P"),
+    pytest.param(P3XP3, dict(), id="no-k"),
+    pytest.param(ProductFamily((2,), ((3,),)), dict(k=(1,)),
+                 id="no-fixture"),
+])
+def test_verify_family_refuses_before_any_series(monkeypatch, fam, kwargs):
+    # every input is checked before a series is built or expanded
+    calls = []
+    for name in ("expand_rational", "wps_intersection_series",
+                 "product_intersection_series"):
+        real = getattr(mirror, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(mirror, name, counted)
+    kwargs = dict(kwargs)
+    order = kwargs.pop("order", 3)
+    with pytest.raises(ValueError):
+        verify_family(fam, order, **kwargs)
+    assert calls == []
+    # the same counters see a valid call build its series
+    verify_family(P4XP1, 2, k=(3, 0))
+    assert calls == ["product_intersection_series", "expand_rational"]

@@ -373,6 +373,8 @@ def test_mixed_residue_tail_check():
     mixed_residue(rf, h, (2, 2))
     with pytest.raises(ValueError, match="multidegree"):
         mixed_residue(rf, h, (3, 1))
+    with pytest.raises(ValueError, match="nonempty"):
+        mixed_residue(rf, h, ())  # every monomial ends in ()
     with pytest.raises(ValueError, match="outside the recorded basis"):
         mixed_residue(rf, monomial(4, (9, 9, 2, 2)))
 
