@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, quotient_by_vector, require
@@ -39,6 +40,7 @@ from .series import (
     TruncatedSeries,
     _factorials,
     _linear_form_kernel,
+    _linear_form_plan,
     expand_rational,
 )
 
@@ -301,27 +303,28 @@ def product_intersection_series(fam, k, order):
     order = _int(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
+    # target_i = n_i b_i + (d_i - k_i) with n_i = d_i + 1
     ns = tuple(d + 1 for d in fam.dims)
+    base = tuple(d - kk for d, kk in zip(fam.dims, k))
     columns = [tuple(fam.matrix[i][j] for i in range(fam.p))
                for j in range(fam.r)]
+    # one plan for every beta; a column with a single nonzero entry takes
+    # its power straight off the target
+    plan = _linear_form_plan(columns)
     # the row sums d_i + 1 give every target the total degree sum_j e_j
     # that the kernel needs; a negative target entry gives 0
     fact = _factorials(max(map(max, columns)) * order + 1)
     coeffs = {}
     for t in range(order + 1):
         for beta in compositions(t, fam.p):
-            target = tuple(n * b + d - kk
-                           for n, b, d, kk in zip(ns, beta, fam.dims, k))
+            target = tuple(map(add, map(mul, ns, beta), base))
             if min(target) < 0:
                 continue
-            forms = [(col, sum(c * b for c, b in zip(col, beta)) + 1)
-                     for col in columns]
-            raw = _linear_form_kernel(forms, target, fact)
+            powers = [sum(map(mul, col, beta)) + 1 for col in columns]
+            raw = _linear_form_kernel(plan, powers, target, fact)
             if raw:
-                scale = 1
-                for s, b in zip(fam.y_scales, beta):
-                    scale *= s ** b
-                coeffs[beta] = Fraction(raw, scale)
+                coeffs[beta] = Fraction(
+                    raw, math.prod(map(pow, fam.y_scales, beta)))
     return TruncatedSeries._exact(fam.p, order, coeffs)
 
 
@@ -446,9 +449,10 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     points drawn from rng as draw_wps_points does (each point's functional
     is solved once, for the draw and the pairing), or two fixed points.
     Product families: the extraction series against the bundled
-    closed-form fixture.  Every input is checked before any series is
-    built.  Returns a report dict whose "ok" is True only when every
-    comparison is an exact match.
+    closed-form fixture.  Each kind refuses the other kind's arguments (k
+    for a weighted family; P, points and rng for a product family), and
+    every input is checked before any series is built.  Returns a report
+    dict whose "ok" is True only when every comparison is an exact match.
     """
     order = _int(order, "order")
     if order < 0:
@@ -456,6 +460,9 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     if isinstance(fam, WpsFamily):
         if P is None:
             raise ValueError("a weighted family needs the polynomial P")
+        if k is not None:
+            raise ValueError("k belongs to product families; "
+                             "a weighted family takes P")
         if points is not None and rng is not None:
             raise ValueError("give coefficient points or an rng, not both")
         if rng is None:
@@ -487,6 +494,11 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     elif isinstance(fam, ProductFamily):
         if k is None:
             raise ValueError("a product family needs the index tuple k")
+        extra = [name for name, arg in (("P", P), ("points", points),
+                                        ("rng", rng)) if arg is not None]
+        if extra:
+            raise ValueError(f"{', '.join(extra)}: weighted-family "
+                             "arguments; a product family takes only k")
         key = _fixture_key(fam)
         if key is None:
             raise ValueError(

@@ -205,16 +205,18 @@ class ResidueFunctional:
     basis: interior basis at total degree d+r; values: one rational per
     basis monomial (None when not regular); vol: normalized volume of the
     Cayley polytope; regular: whether the defining linear conditions pin
-    down a unique functional.
+    down a unique functional; r: the number of parts of the nef partition,
+    the length of every multidegree.
     """
 
-    __slots__ = ("basis", "values", "vol", "regular")
+    __slots__ = ("basis", "values", "vol", "regular", "r")
 
-    def __init__(self, basis, values, vol, regular):
+    def __init__(self, basis, values, vol, regular, r):
         self.basis = basis
         self.values = values
         self.vol = vol
         self.regular = regular
+        self.r = r
 
     def __repr__(self):
         return (f"ResidueFunctional(size={len(self.basis)}, vol={self.vol}, "
@@ -275,16 +277,16 @@ def residue_functional(fs, nef):
     target = [hess.get(i, 0) for i in range(len(top))]
     lam = solve_functional(span, target, vol)
     if lam is NOT_UNIQUE:
-        return ResidueFunctional(top, None, vol, False)
-    return ResidueFunctional(top, tuple(lam), vol, True)
+        return ResidueFunctional(top, None, vol, False, r)
+    return ResidueFunctional(top, tuple(lam), vol, True, r)
 
 
 def mixed_residue(rf, h, k=None):
     """Evaluate the functional on an element supported in the top basis.
 
-    With k given, every monomial of h must carry exactly that nonempty
-    trailing block.  Support outside the recorded basis signals a mis-built
-    element and is rejected.
+    With k given, it must have one entry per part, and every monomial of h
+    must carry exactly that trailing block.  Support outside the recorded
+    basis signals a mis-built element and is rejected.
     """
     if not rf.regular:
         raise ValueError("functional is not regular")
@@ -292,6 +294,9 @@ def mixed_residue(rf, h, k=None):
         k = tuple(_int(x, "multidegree entry") for x in k)
         if not k:
             raise ValueError("multidegree k must be nonempty")
+        if len(k) != rf.r:
+            raise ValueError(
+                f"multidegree k must have {rf.r} entries, got {len(k)}")
         for e in h.terms:
             if e[len(e) - len(k):] != k:
                 raise ValueError(f"monomial {e} is not of multidegree {k}")

@@ -21,9 +21,11 @@ c * N'(cy): a mandatory residual check that shares nothing with the
 recurrence but the input, so a wrong expansion cannot escape this module.
 
 A coefficient of a product of powers of linear forms is taken termwise by
-one integer kernel: each power is expanded by multinomials only over the
-variables where its form is nonzero, with the factorials read from one
-table that a caller builds once and shares across all its coefficients.
+one integer kernel, following a plan of the forms that a caller builds
+once and shares across all its coefficients, with one factorial table: a
+form with a single nonzero entry contributes its one term, and every
+other power is expanded by multinomials only over the variables where its
+form is nonzero.
 This route shares nothing with the closed forms or their expansion.
 
 Orders, exponents and multiplicities must be ints, and coefficients ints
@@ -320,53 +322,82 @@ def _factorials(top):
     return fact
 
 
-def _linear_form_kernel(forms, target, fact):
+def _linear_form_plan(vecs):
+    """What the kernel needs of the linear forms v_j (int vectors), worked
+    out once for every coefficient taken of their product.
+
+    Returns (forced, general): (j, i, v) for each form whose one nonzero
+    entry is v at coordinate i, and (j, support, values) for every other
+    form, in order; an all-zero form is general with an empty support.
+    """
+    forced, general = [], []
+    for j, vec in enumerate(vecs):
+        support = [i for i, v in enumerate(vec) if v]
+        if len(support) == 1:
+            forced.append((j, support[0], vec[support[0]]))
+        else:
+            general.append((j, support, [vec[i] for i in support]))
+    return forced, general
+
+
+def _multinomial_term(e, m, vals, fact):
+    """e!/prod m_i! * prod v_i^m_i, in integers."""
+    coef = fact[e]
+    for mi in m:
+        coef //= fact[mi]
+    for v, mi in zip(vals, m):
+        coef *= v ** mi
+    return coef
+
+
+def _linear_form_kernel(plan, powers, target, fact):
     """Integer coefficient of z^target in prod_j (sum_i v_{ji} z_i)^(e_j).
 
-    forms: (int vector, e_j) pairs; target: nonnegative ints of total degree
-    sum_j e_j; fact: k! for every k up to the largest e_j.  Each power is
-    expanded by the multinomial theorem, e!/prod m_i! * prod v_i^m_i, over
-    the compositions m of e supported where v_i != 0 that fit under target
-    minus the exponent built so far; the forms are convolved in order, and
-    the last one contributes its single term m = target - (partial
-    exponent).  An all-zero form contributes 1 to the power 0 and kills the
-    product to any higher power.
+    plan: _linear_form_plan of the v_j; powers: the e_j; target:
+    nonnegative ints; fact: k! for every k up to the largest e_j.  An
+    all-zero form contributes 1 to the power 0 and kills the product at
+    any higher power.  A forced form, v z_i, contributes its single term
+    v^e z_i^e: e comes off target_i, and a negative remainder gives 0 at
+    once.  The general forms are expanded by the multinomial theorem over
+    the compositions m of e supported where v_i != 0 that fit under what
+    is left of the target, convolved in order, and the last one
+    contributes its single term m = what is left.  With no general form
+    the coefficient is the forced product, where nothing is left.
     """
-    if not forms:
-        return 1
-
-    def term(e, m, vals):
-        coef = fact[e]
-        for mi in m:
-            coef //= fact[mi]
-        for v, mi in zip(vals, m):
-            coef *= v ** mi
-        return coef
-
-    current = {(0,) * len(target): 1}
-    for vec, e in forms[:-1]:
-        support = [i for i, v in enumerate(vec) if v]
-        vals = [vec[i] for i in support]
+    forced, general = plan
+    rest = list(target)
+    coef = 1
+    for j, i, v in forced:
+        e = powers[j]
+        rest[i] -= e
+        if rest[i] < 0:
+            return 0
+        coef *= v ** e
+    if not general:
+        return 0 if any(rest) else coef
+    current = {tuple(rest): coef}
+    for j, support, vals in general[:-1]:
+        e = powers[j]
         nxt = {}
-        for mono, coef in current.items():
-            caps = [target[i] - mono[i] for i in support]
-            for m in compositions(e, len(support), caps):
-                key = list(mono)
+        for left, c in current.items():
+            for m in compositions(e, len(support), [left[i] for i in support]):
+                key = list(left)
                 for i, mi in zip(support, m):
-                    key[i] += mi
+                    key[i] -= mi
                 key = tuple(key)
-                nxt[key] = nxt.get(key, 0) + coef * term(e, m, vals)
+                nxt[key] = (nxt.get(key, 0)
+                            + c * _multinomial_term(e, m, vals, fact))
         if not nxt:
             return 0
         current = nxt
-    vec, e = forms[-1]
-    support = [i for i, v in enumerate(vec) if v]
-    vals = [vec[i] for i in support]
+    j, support, vals = general[-1]
+    e = powers[j]
     total = 0
-    for mono, coef in current.items():
-        if any(t != x for t, x, v in zip(target, mono, vec) if not v):
-            continue
-        total += coef * term(e, [target[i] - mono[i] for i in support], vals)
+    for left, c in current.items():
+        m = [left[i] for i in support]
+        # the single term must take all that is left, and have degree e
+        if sum(m) == e == sum(left):
+            total += c * _multinomial_term(e, m, vals, fact)
     return total
 
 
@@ -377,14 +408,14 @@ def linear_form_power_coefficient(forms, target):
     Every form is homogeneous linear, so only a nonnegative target of total
     degree sum_j e_j can have a nonzero coefficient.  Each form is cleared
     of denominators, v_j = v'_j / L_j, and the integer kernel (see
-    _linear_form_kernel) takes the coefficient for the v'_j with a
-    factorial table built once; the result is that integer over
+    _linear_form_kernel) takes the coefficient for the v'_j with their plan
+    and a factorial table; the result is that integer over
     prod_j L_j^(e_j), the one Fraction of the call.  This route is
     independent of the closed forms and their expansions.
     """
     target = tuple(_int(x, "target entry") for x in target)
     nvars = len(target)
-    clean = []
+    vecs, powers = [], []
     scale = 1
     for vec, e in forms:
         vec = [_coef(x, "linear form entry") for x in vec]
@@ -394,9 +425,11 @@ def linear_form_power_coefficient(forms, target):
         if e < 0:
             raise ValueError("negative power of a linear form")
         lcd = math.lcm(*(v.denominator for v in vec))
-        clean.append(([v.numerator * (lcd // v.denominator) for v in vec], e))
+        vecs.append([v.numerator * (lcd // v.denominator) for v in vec])
+        powers.append(e)
         scale *= lcd ** e
-    if any(x < 0 for x in target) or sum(target) != sum(e for _, e in clean):
+    if any(x < 0 for x in target) or sum(target) != sum(powers):
         return Fraction(0)
-    fact = _factorials(max((e for _, e in clean), default=0))
-    return Fraction(_linear_form_kernel(clean, target, fact), scale)
+    fact = _factorials(max(powers, default=0))
+    raw = _linear_form_kernel(_linear_form_plan(vecs), powers, target, fact)
+    return Fraction(raw, scale)

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: seventeen timed criteria, exact equality only.
+"""End-to-end acceptance gate: eighteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from toricres import cli, residue
+from toricres import cli, residue, series
 from toricres.cli import main as cli_main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -503,3 +503,28 @@ def test_criterion_17_product_families_at_order_40():
                 assert verify_family(fam, 40, k=k)["ok"]
 
     _run(17, 1.0, body)
+
+
+def test_criterion_19_product_series_plan_at_order_60(monkeypatch):
+    listed = []
+    real = series.compositions
+
+    def counting(*args):
+        listed.append(args)
+        return real(*args)
+
+    # series.py lists compositions only inside the linear-form kernel
+    monkeypatch.setattr(series, "compositions", counting)
+
+    def body():
+        # every column of both families but the last has one nonzero
+        # entry, so the kernel takes each coefficient as one forced
+        # product times the last column's single term, listing nothing;
+        # the series meets the closed-form fixtures to order 60
+        for fam, name in ((P3XP3, "P3xP3"), (P4XP1, "P4xP1")):
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                got = product_intersection_series(fam, k, 60)
+                assert got == expand_rational(yukawa_fixture(name, k), 60)
+        assert listed == []
+
+    _run(19, 0.6, body)

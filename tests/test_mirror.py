@@ -210,33 +210,112 @@ def random_product_family(rng):
     return ProductFamily(dims, matrix, scales)
 
 
+def random_k(fam, rng):
+    k = [0] * fam.p
+    for _ in range(fam.ambient_dim - fam.r):
+        k[rng.randrange(fam.p)] += 1
+    return k
+
+
+def check_against_reference(fam, k, order):
+    """Every coefficient of the product series against the factor-by-factor
+    reference; returns how many are nonzero."""
+    got = product_intersection_series(fam, k, order)
+    columns = list(zip(*fam.matrix))
+    nonzero = 0
+    for total in range(order + 1):
+        for b in compositions(total, fam.p):
+            target = [(d + 1) * bi + d - ki
+                      for d, bi, ki in zip(fam.dims, b, k)]
+            forms = [(col, sum(c * bi for c, bi in zip(col, b)) + 1)
+                     for col in columns]
+            scale = math.prod(s ** bi for s, bi in zip(fam.y_scales, b))
+            want = reference_linear_form_coefficient(forms, target)
+            assert got.coefficient(b) == want / scale
+            nonzero += want != 0
+    assert all(got.coeffs.values())
+    return nonzero
+
+
 def test_product_series_matches_factor_by_factor_reference():
     rng = random.Random(17)
     seen = {"zero entry": 0, "single support": 0, "scale": 0, "nonzero": 0}
     for _ in range(24):
         fam = random_product_family(rng)
-        k = [0] * fam.p
-        for _ in range(fam.ambient_dim - fam.r):
-            k[rng.randrange(fam.p)] += 1
-        order = 9 - fam.p
-        got = product_intersection_series(fam, k, order)
+        k = random_k(fam, rng)
         columns = list(zip(*fam.matrix))
         seen["zero entry"] += 0 in sum(columns, ())
         seen["single support"] += fam.p > 1 and any(
             sum(1 for x in col if x) == 1 for col in columns)
         seen["scale"] += fam.y_scales != (1,) * fam.p
-        for total in range(order + 1):
-            for b in compositions(total, fam.p):
-                target = [(d + 1) * bi + d - ki
-                          for d, bi, ki in zip(fam.dims, b, k)]
-                forms = [(col, sum(c * bi for c, bi in zip(col, b)) + 1)
-                         for col in columns]
-                scale = math.prod(s ** bi for s, bi in zip(fam.y_scales, b))
-                want = reference_linear_form_coefficient(forms, target)
-                assert got.coefficient(b) == want / scale
-                seen["nonzero"] += want != 0
-        assert all(got.coeffs.values())
+        seen["nonzero"] += check_against_reference(fam, k, 9 - fam.p)
     assert min(seen.values()) >= 5, seen
+
+
+def dense_product_family(rng):
+    """2-3 factors of dims 1-3 with 2-3 general columns, each nonzero in
+    every row, so the kernel convolves at least one general column before
+    the last; about half the families add forced columns, nonzero in one
+    row only.  Columns come in random order."""
+    p = rng.randint(2, 3)
+    general = rng.randint(2, 3)
+    dims = [rng.randint(general - 1, 3) for _ in range(p)]
+    forced = []  # the row of each forced column
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        room = [i for i in range(p)
+                if general + forced.count(i) < dims[i] + 1]
+        if room and general + len(forced) < sum(dims):
+            forced.append(rng.choice(room))
+    r = general + len(forced)
+    order = rng.sample(range(r), r)  # order[j]: the column built j-th
+    matrix = [[0] * r for _ in range(p)]
+    for i, d in enumerate(dims):
+        own = [order[j] for j in range(general)]
+        own += [order[general + t] for t, row in enumerate(forced) if row == i]
+        for c in own:
+            matrix[i][c] = 1
+        for _ in range(d + 1 - len(own)):
+            matrix[i][rng.choice(own)] += 1
+    scales = [rng.randint(1, 3) for _ in range(p)]
+    return ProductFamily(dims, matrix, scales)
+
+
+def test_dense_product_series_matches_factor_by_factor_reference():
+    # the families above mostly have single-support columns; here every
+    # family convolves general columns, and many mix them with forced ones
+    rng = random.Random(23)
+    seen = {"convolution": 0, "forced and general": 0, "nonzero": 0}
+    for _ in range(24):
+        fam = dense_product_family(rng)
+        k = random_k(fam, rng)
+        sizes = [sum(1 for x in col if x) for col in zip(*fam.matrix)]
+        seen["convolution"] += sum(1 for n in sizes if n > 1) >= 2
+        seen["forced and general"] += 1 in sizes and max(sizes) > 1
+        seen["nonzero"] += check_against_reference(fam, k, 7 - fam.p)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_one_kernel_for_both_termwise_routes(monkeypatch):
+    # the public coefficient and the product series reach one private
+    # kernel: the same function object, counted from both routes
+    assert mirror._linear_form_kernel is series._linear_form_kernel
+    calls = []
+    real = series._linear_form_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_linear_form_kernel", counting)
+    monkeypatch.setattr(mirror, "_linear_form_kernel", counting)
+    forms = [((3, 0), 2), ((1, 2), 3)]
+    got = series.linear_form_power_coefficient(forms, (3, 2))
+    assert got == reference_linear_form_coefficient(forms, (3, 2))
+    assert len(calls) == 1
+    series_got = product_intersection_series(P4XP1, (3, 0), 5)
+    # one call per beta: every target (5 b1 + 1, 2 b2 + 1) is nonnegative
+    assert len(calls) == 1 + sum(len(compositions(t, 2)) for t in range(6))
+    assert series_got.coeffs
 
 
 def test_product_series_builds_one_fraction_per_coefficient(monkeypatch):
@@ -459,6 +538,15 @@ _X1X2 = monomial(3, (1, 1, 0))
     pytest.param(P3XP3, dict(), id="no-k"),
     pytest.param(ProductFamily((2,), ((3,),)), dict(k=(1,)),
                  id="no-fixture"),
+    # each family kind refuses the other kind's arguments
+    pytest.param(split_family(), dict(P=_X1X2, k=(1, 1)), id="weighted-k"),
+    pytest.param(P3XP3, dict(k=(2, 1), P=_X1X2), id="product-P"),
+    pytest.param(P3XP3, dict(k=(2, 1), points=[(1, 2), (2, 1)]),
+                 id="product-points"),
+    pytest.param(P3XP3, dict(k=(2, 1), rng=random.Random(0)),
+                 id="product-rng"),
+    pytest.param(P3XP3, dict(k=(2, 1), points=[(0,)], rng=random.Random(0)),
+                 id="product-points-rng"),
 ])
 def test_verify_family_refuses_before_any_series(monkeypatch, fam, kwargs):
     # every input is checked before a series is built or expanded

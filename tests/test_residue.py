@@ -12,13 +12,14 @@ from reference import reference_lattice_points
 
 from toricres import polytope, residue
 from toricres.cli import main
-from toricres.jsonio import load_nefpart_file
+from toricres.jsonio import load_coeffs_file, load_nefpart_file
 from toricres.laurent import (
     LaurentPolynomial,
     cayley_polynomial,
     compositions,
     hessian_by_subsets,
     log_derivative,
+    mixed_hessian,
     monomial,
     positive_compositions,
 )
@@ -377,6 +378,25 @@ def test_mixed_residue_tail_check():
         mixed_residue(rf, h, ())  # every monomial ends in ()
     with pytest.raises(ValueError, match="outside the recorded basis"):
         mixed_residue(rf, monomial(4, (9, 9, 2, 2)))
+
+
+def test_mixed_residue_refuses_a_short_k():
+    # p2split has r = 2 parts: k = (2,) matches the trailing entry of every
+    # monomial of the (2, 2) mixed Hessian, but names one part, not two
+    _, parts = load_nefpart_file(os.path.join(FIX, "p2split.json"))
+    nef = check_nef_partition(parts)
+    coeffs = load_coeffs_file(os.path.join(FIX, "a.json"), len(nef.points))
+    fs = system_from_coefficients(nef, coeffs)
+    rf = residue_functional(fs, nef)
+    assert rf.r == nef.r == 2
+    h = mixed_hessian(fs, (2, 2))
+    assert mixed_residue(rf, h, (2, 2)) == mixed_residue(rf, h) == 2
+    with pytest.raises(ValueError, match="must have 2 entries, got 1"):
+        mixed_residue(rf, h, (2,))
+    with pytest.raises(ValueError, match="must have 2 entries, got 3"):
+        mixed_residue(rf, h, (0, 2, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        mixed_residue(rf, h, ())
 
 
 def test_annihilation_on_held_out_products():

@@ -24,6 +24,7 @@ from toricres.residue import graded_basis, system_from_coefficients
 from toricres.series import (
     RationalFunctionSpec,
     TruncatedSeries,
+    _linear_form_plan,
     expand_rational,
     inv_factorial,
     linear_form_power_coefficient,
@@ -392,6 +393,24 @@ def test_linear_form_mixed_powers():
     # out of range: total degree of the product is 4
     assert linear_form_power_coefficient(forms, (2, 1)) == 0
     assert linear_form_power_coefficient(forms, (5, 0)) == 0
+
+
+def test_linear_form_plan_forced_and_zero_forms():
+    # the plan sorts forms by support; a forced form's power comes straight
+    # off its one coordinate, so a forced-only product is one term
+    assert _linear_form_plan([(3, 0), (0, 0), (1, 2), (0, 5)]) == (
+        [(0, 0, 3), (3, 1, 5)], [(1, [], []), (2, [0, 1], [1, 2])])
+    forms = [((2, 0), 3), ((0, 5), 1)]
+    assert linear_form_power_coefficient(forms, (3, 1)) == 2 ** 3 * 5
+    assert linear_form_power_coefficient(forms, (4, 0)) == 0
+    # an all-zero form is 1 at power 0 and kills the product above it,
+    # before the last general form or as the last
+    for zero_first in (True, False):
+        for e, want in ((0, 2), (1, 0)):
+            forms = [((0, 0), e), ((1, 1), 2 - e)]
+            if not zero_first:
+                forms.reverse()
+            assert linear_form_power_coefficient(forms, (1, 1)) == want
 
 
 def test_linear_form_negative_target_is_zero():
