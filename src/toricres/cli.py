@@ -71,12 +71,6 @@ def _parse_ints(text, flag):
                          f"{text!r}")
 
 
-def _order(args):
-    if args.order < 0:
-        raise InputError("--order must be nonnegative")
-    return args.order
-
-
 def _table(headers, rows):
     widths = [len(h) for h in headers]
     for row in rows:
@@ -217,8 +211,6 @@ def cmd_residue(args):
     nef = _load_nef(args.nefpart)
     if args.subcommand == "eval":
         # every input is checked before the functional is solved
-        if args.poly is None:
-            raise InputError("residue eval needs --poly")
         h = load_laurent(args.poly, args.poly)
         k = _parse_ints(args.k, "--k") if args.k is not None else None
         if k is not None and len(k) != nef.r:
@@ -277,18 +269,15 @@ def _series_lines(sjson):
 
 def cmd_series(args):
     kind, fam = load_family_file(args.family)
-    order = _order(args)
     if args.subcommand == "wps":
         if kind != "wps":
             raise InputError("series wps needs a weighted family file")
-        if args.poly is None:
-            raise InputError("series wps needs --poly")
         P = load_laurent(args.poly, args.poly)
-        series = wps_intersection_series(fam, P, order)
+        series = wps_intersection_series(fam, P, args.order)
         cf = wps_closed_form(fam, P)
         mu = -cf.denominator_factors[0][0][(1,)]
         numer = cf.numerator.get((0,), Fraction(0))
-        report = {"command": "series wps", "order": order,
+        report = {"command": "series wps", "order": args.order,
                   "weights": list(fam.weights),
                   "series": series_json(series),
                   "closed_form_numerator": rat_str(numer),
@@ -296,44 +285,32 @@ def cmd_series(args):
     else:
         if kind != "product":
             raise InputError("series product needs a product family file")
-        if args.k is None:
-            raise InputError("series product needs --k")
         k = _parse_ints(args.k, "--k")
-        series = product_intersection_series(fam, k, order)
-        report = {"command": "series product", "order": order,
+        series = product_intersection_series(fam, k, args.order)
+        report = {"command": "series product", "order": args.order,
                   "dims": list(fam.dims), "k": list(k),
                   "series": series_json(series)}
     return report, 0, _series_lines(report["series"])
 
 
 def cmd_yukawa(args):
-    if args.fixture is None or args.indices is None:
-        raise InputError("yukawa needs --fixture and --indices")
     indices = _parse_ints(args.indices, "--indices")
-    try:
-        spec = yukawa_fixture(args.fixture, indices)
-    except ValueError as e:
-        raise InputError(str(e))
-    order = _order(args)
-    series = expand_rational(spec, order)
+    spec = yukawa_fixture(args.fixture, indices)
+    series = expand_rational(spec, args.order)
     report = {"command": "yukawa", "fixture": args.fixture,
-              "indices": list(indices), "order": order,
+              "indices": list(indices), "order": args.order,
               "series": series_json(series)}
     return report, 0, _series_lines(report["series"])
 
 
 def cmd_verify(args):
     kind, fam = load_family_file(args.family)
-    order = _order(args)
-    if kind == "wps":
-        if args.poly is None:
-            raise InputError("verify trmc on a weighted family needs --poly")
-        P = load_laurent(args.poly, args.poly)
-        raw = verify_family(fam, order, P=P, rng=random.Random(args.seed))
-    else:
-        if args.k is None:
-            raise InputError("verify trmc on a product family needs --k")
-        raw = verify_family(fam, order, k=_parse_ints(args.k, "--k"))
+    # verify_family alone decides which arguments a family kind takes;
+    # only a weighted family draws its coefficient points
+    P = None if args.poly is None else load_laurent(args.poly, args.poly)
+    k = None if args.k is None else _parse_ints(args.k, "--k")
+    rng = random.Random(args.seed) if kind == "wps" else None
+    raw = verify_family(fam, args.order, P=P, k=k, rng=rng)
     rows = [{"exponent": list(r["exponent"]), "termwise": rat_str(r["termwise"]),
              "closed_form": rat_str(r["closed_form"]), "equal": r["equal"]}
             for r in raw["rows"]]
@@ -341,8 +318,8 @@ def cmd_verify(args):
                "closed_form": rat_str(p["closed_form"]),
                "residue": rat_str(p["residue"]), "equal": p["equal"]}
               for p in raw["points"]]
-    report = {"command": "verify trmc", "mode": raw["mode"], "order": order,
-              "ok": raw["ok"], "rows": rows, "points": points,
+    report = {"command": "verify trmc", "order": args.order, "ok": raw["ok"],
+              "mode": raw["mode"], "rows": rows, "points": points,
               "mismatches": [r for r in rows if not r["equal"]]}
     lines = _table(
         ["exponent", "termwise", "closed form", "equal"],
@@ -407,49 +384,49 @@ def build_parser():
         p.add_argument("--out", help="write the JSON report to this path")
         return p
 
-    path = {"required": True}
+    required = {"required": True}
     order = {"type": int, "required": True}
     seed = {"type": int, "default": 0}
 
     g = sub.add_parser("polytope").add_subparsers(dest="subcommand",
                                                   required=True)
     for name in ("info", "dual"):
-        add(g, name, points=path)
+        add(g, name, points=required)
 
     g = sub.add_parser("nefpart").add_subparsers(dest="subcommand",
                                                  required=True)
     for name in ("check", "dual"):
-        add(g, name, nefpart=path)
+        add(g, name, nefpart=required)
 
     g = sub.add_parser("cayley").add_subparsers(dest="subcommand",
                                                 required=True)
-    add(g, "build", nefpart=path)
+    add(g, "build", nefpart=required)
 
     g = sub.add_parser("hessian").add_subparsers(dest="subcommand",
                                                  required=True)
-    add(g, "full", system=path)
-    add(g, "mixed", system=path, k={"required": True})
+    add(g, "full", system=required)
+    add(g, "mixed", system=required, k=required)
 
-    add(sub, "mixedvol", polytopes=path)
+    add(sub, "mixedvol", polytopes=required)
 
     g = sub.add_parser("residue").add_subparsers(dest="subcommand",
                                                  required=True)
-    add(g, "functional", nefpart=path, coeffs={}, seed=seed)
-    add(g, "eval", nefpart=path, coeffs={}, seed=seed, poly={}, k={})
-    add(g, "conjecture310", nefpart=path, coeffs={}, seed=seed)
+    add(g, "functional", nefpart=required, coeffs={}, seed=seed)
+    add(g, "eval", nefpart=required, coeffs={}, seed=seed, poly=required, k={})
+    add(g, "conjecture310", nefpart=required, coeffs={}, seed=seed)
 
     g = sub.add_parser("series").add_subparsers(dest="subcommand",
                                                 required=True)
-    add(g, "wps", family=path, poly={}, order=order)
-    add(g, "product", family=path, k={}, order=order)
+    add(g, "wps", family=required, poly=required, order=order)
+    add(g, "product", family=required, k=required, order=order)
 
-    add(sub, "yukawa", fixture={}, indices={}, order=order)
+    add(sub, "yukawa", fixture=required, indices=required, order=order)
 
     g = sub.add_parser("verify").add_subparsers(dest="subcommand",
                                                 required=True)
-    add(g, "trmc", family=path, poly={}, k={}, order=order, seed=seed)
+    add(g, "trmc", family=required, poly={}, k={}, order=order, seed=seed)
 
-    add(sub, "suite", manifest=path)
+    add(sub, "suite", manifest=required)
     return parser
 
 

@@ -7,13 +7,14 @@ coefficients; the weighted case also has a closed form, and the two
 bundled product fixtures have closed-form couplings (yukawa_fixture).
 
 verify_family runs one pipeline for both kinds.  It checks every input
-first.  Only then does the family kind supply its closed-form spec, its
-termwise series and, for weighted families only, rows comparing the
-closed form with the residue pairing at coefficient points.  One loop
-over the exponents up to the order compares the termwise series with the
-expanded closed form, whatever the number of series variables.  The
-termwise coefficients never go through the closed form's expansion, and
-the residue pairing never reads either series.
+first, solving the residue functional of every coefficient point.  Only
+then does the family kind supply its closed-form spec, its termwise
+series and, for weighted families only, rows comparing the closed form
+with the residue pairing at those points.  One loop over the exponents
+up to the order compares the termwise series with the expanded closed
+form, whatever the number of series variables.  The termwise
+coefficients never go through the closed form's expansion, and the
+residue pairing never reads either series.
 
 Curve classes are enumerated over the nonnegative orthant (a single ray in
 the weighted case), and coefficients whose extraction window is empty are
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, mul
+from types import MappingProxyType
 
 from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, quotient_by_vector, require
@@ -137,6 +139,13 @@ class ProductFamily:
     def __setattr__(self, *_):
         raise AttributeError("ProductFamily is immutable")
 
+    def __eq__(self, other):
+        return isinstance(other, ProductFamily) and all(
+            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+    def __hash__(self):
+        return hash((self.dims, self.matrix, self.y_scales))
+
     @property
     def p(self):
         return len(self.dims)
@@ -159,13 +168,41 @@ P3XP3 = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)), (27, 27))
 P4XP1 = ProductFamily((4, 1), ((4, 1), (0, 2)), (1, 1))
 
 
-def _fixture_key(fam):
-    data = (fam.dims, fam.matrix, fam.y_scales)
-    if data == (P3XP3.dims, P3XP3.matrix, P3XP3.y_scales):
-        return "P3xP3"
-    if data == (P4XP1.dims, P4XP1.matrix, P4XP1.y_scales):
-        return "P4xP1"
-    return None
+def _closed_form_table():
+    """The closed forms that yukawa_fixture and verify_family read: fixture
+    name -> (family, {indices: (numerator, denominator factors)}).  wps_diag
+    has no family; yukawa_fixture builds a new spec from it on every call."""
+    big = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+    l1 = {(0, 0): 1, (1, 0): -1}
+    l2 = {(0, 0): 1, (0, 1): -1}
+    d0 = {(0, 0): 1, (1, 0): -512, (2, 0): 65536, (0, 1): -4}
+    d1 = {(0, 0): 1, (0, 1): -4}
+    return MappingProxyType({
+        "P3xP3": (P3XP3, {
+            (3, 0): ({(1, 0): 9}, [(big, 1), (l1, 2)]),
+            (2, 1): ({(0, 0): 9}, [(big, 1), (l1, 1)]),
+            (1, 2): ({(0, 0): 9}, [(big, 1), (l2, 1)]),
+            (0, 3): ({(0, 1): 9}, [(big, 1), (l2, 2)]),
+        }),
+        "P4xP1": (P4XP1, {
+            (3, 0): ({(0, 0): 8}, [(d0, 1)]),
+            (2, 1): ({(0, 0): 4, (1, 0): -1024, (0, 1): 16},
+                     [(d0, 1), (d1, 1)]),
+            (1, 2): ({(0, 1): 24, (1, 1): -4096, (0, 2): 32},
+                     [(d0, 1), (d1, 2)]),
+            (0, 3): ({(0, 1): 4, (1, 1): -1024, (0, 2): 96,
+                      (1, 2): -12288, (0, 3): 64},
+                     [(d0, 1), (d1, 3)]),
+        }),
+        # 18*(3 - 2y) / ((1 - 2y)(1 - y)^2)
+        "wps_diag": (None, {
+            (3, 3): ({(0,): 54, (1,): -36},
+                     [({(0,): 1, (1,): -2}, 1), ({(0,): 1, (1,): -1}, 2)]),
+        }),
+    })
+
+
+_CLOSED_FORMS = _closed_form_table()
 
 
 def _split_parts(parts, n=None):
@@ -217,11 +254,7 @@ def wps_vertex_vectors(fam):
     i-th vector is the image of the i-th coordinate ray.
     """
     rows = quotient_by_vector(fam.weights)
-    vecs = tuple(tuple(row[i] for row in rows) for i in range(fam.n))
-    require(all(sum(w * v[j] for w, v in zip(fam.weights, vecs)) == 0
-                for j in range(fam.dim)),
-            "wps_vertex_vectors: sum of w_i * v_i != 0")
-    return vecs
+    return tuple(tuple(row[i] for row in rows) for i in range(fam.n))
 
 
 def wps_nef_partition(fam):
@@ -351,52 +384,15 @@ def q_to_p(Q, parts, degree=None):
 
 
 def yukawa_fixture(name, indices):
-    """Bundled closed-form coupling for a named family and index choice."""
+    """Bundled closed-form coupling for a named fixture and index choice."""
     indices = tuple(_int(x, "index") for x in indices)
-    if name == "P3xP3":
-        big = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
-        l1 = {(0, 0): 1, (1, 0): -1}
-        l2 = {(0, 0): 1, (0, 1): -1}
-        table = {
-            (3, 0): ({(1, 0): 9}, [(big, 1), (l1, 2)]),
-            (2, 1): ({(0, 0): 9}, [(big, 1), (l1, 1)]),
-            (1, 2): ({(0, 0): 9}, [(big, 1), (l2, 1)]),
-            (0, 3): ({(0, 1): 9}, [(big, 1), (l2, 2)]),
-        }
-        if indices not in table:
-            raise ValueError(f"unknown indices {indices} for {name}")
-        num, den = table[indices]
-        return RationalFunctionSpec(2, num, den)
-    if name == "P4xP1":
-        d0 = {(0, 0): 1, (1, 0): -512, (2, 0): 65536, (0, 1): -4}
-        d1 = {(0, 0): 1, (0, 1): -4}
-        table = {
-            (3, 0): ({(0, 0): 8}, [(d0, 1)]),
-            (2, 1): ({(0, 0): 4, (1, 0): -1024, (0, 1): 16},
-                     [(d0, 1), (d1, 1)]),
-            (1, 2): ({(0, 1): 24, (1, 1): -4096, (0, 2): 32},
-                     [(d0, 1), (d1, 2)]),
-            (0, 3): ({(0, 1): 4, (1, 1): -1024, (0, 2): 96,
-                      (1, 2): -12288, (0, 3): 64},
-                     [(d0, 1), (d1, 3)]),
-        }
-        if indices not in table:
-            raise ValueError(f"unknown indices {indices} for {name}")
-        num, den = table[indices]
-        return RationalFunctionSpec(2, num, den)
-    if name == "wps_diag":
-        if indices != (3, 3):
-            raise ValueError(f"unknown indices {indices} for {name}")
-        # 18*(3 - 2y) / ((1 - 2y)(1 - y)^2)
-        return RationalFunctionSpec(
-            1, {(0,): 54, (1,): -36},
-            [({(0,): 1, (1,): -2}, 1), ({(0,): 1, (1,): -1}, 2)])
-    raise ValueError(f"unknown fixture {name!r}")
-
-
-def _default_points(n):
-    return [tuple(Fraction(1, i + 2) for i in range(n)),
-            tuple(Fraction(1, i + 3) for i in range(n))]
+    if name not in _CLOSED_FORMS:
+        raise ValueError(f"unknown fixture {name!r}")
+    forms = _CLOSED_FORMS[name][1]
+    if indices not in forms:
+        raise ValueError(f"unknown indices {indices} for {name}")
+    num, den = forms[indices]
+    return RationalFunctionSpec(len(next(iter(num))), num, den)
 
 
 def _draw_solved(nef, positions, rng, count):
@@ -420,39 +416,43 @@ def draw_wps_points(fam, rng, count=2):
     return [pt for pt, _ in _draw_solved(nef, positions, rng, count)]
 
 
-def _wps_residue_value(nef, positions, P, point, kbar, rf=None):
-    coeffs = [None] * len(nef.points)
-    for i, a in enumerate(point):
-        coeffs[positions[i]] = a
-    if rf is None:
-        rf = residue_functional(system_from_coefficients(nef, coeffs), nef)
+def _in_nef_order(positions, seq):
+    """seq, one entry per family coordinate, moved to nef.points order."""
+    out = [0] * len(positions)
+    for p, x in zip(positions, seq):
+        out[p] = x
+    return out
+
+
+def _solve_point(nef, positions, point):
+    """(point, its residue functional), refusing a non-regular system."""
+    coeffs = _in_nef_order(positions, point)
+    rf = residue_functional(system_from_coefficients(nef, coeffs), nef)
     if not rf.regular:
         raise ValueError(
-            f"coefficient point {tuple(point)} gives a non-regular system; "
+            f"coefficient point {point} gives a non-regular system; "
             "supply different points")
-    remapped = {}
-    for e, c in P.terms.items():
-        new = [0] * len(nef.points)
-        for i, x in enumerate(e):
-            new[positions[i]] = x
-        remapped[tuple(new)] = c
-    P_in = LaurentPolynomial(len(nef.points), remapped)
-    return residue_of_polynomial(rf, nef, P_in, coeffs, kbar)
+    return point, rf
+
+
+def _wps_residue_value(nef, positions, P, point, kbar, rf):
+    """The residue pairing of P at a point whose functional rf is solved."""
+    P_in = LaurentPolynomial(len(nef.points), {
+        tuple(_in_nef_order(positions, e)): c for e, c in P.terms.items()})
+    return residue_of_polynomial(rf, nef, P_in,
+                                 _in_nef_order(positions, point), kbar)
 
 
 def verify_family(fam, order, P=None, k=None, points=None, rng=None):
-    """Compare the series pipelines for one family, coefficient by coefficient.
+    """Compare the series pipelines for one family (see the module docstring).
 
-    Weighted families: the termwise series against the closed-form
-    expansion, plus the closed form against the residue pairing at two or
-    more rational coefficient points: the given points, or two regular
-    points drawn from rng as draw_wps_points does (each point's functional
-    is solved once, for the draw and the pairing), or two fixed points.
-    Product families: the extraction series against the bundled
-    closed-form fixture.  Each kind refuses the other kind's arguments (k
-    for a weighted family; P, points and rng for a product family), and
-    every input is checked before any series is built.  Returns a report
-    dict whose "ok" is True only when every comparison is an exact match.
+    A weighted family takes P and either two or more coefficient points or
+    an rng, from which two regular points are drawn as draw_wps_points
+    does; each point's functional is solved, and a given point with a
+    non-regular system refused, before any series is built.  A product
+    family takes only k, and needs a bundled closed form.  Each kind
+    refuses the other kind's arguments.  Returns a report dict whose "ok"
+    is True only when every comparison is an exact match.
     """
     order = _int(order, "order")
     if order < 0:
@@ -463,11 +463,10 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         if k is not None:
             raise ValueError("k belongs to product families; "
                              "a weighted family takes P")
-        if points is not None and rng is not None:
-            raise ValueError("give coefficient points or an rng, not both")
+        if (points is None) == (rng is None):
+            raise ValueError("a weighted family takes coefficient points or "
+                             "an rng: one of them, not both")
         if rng is None:
-            if points is None:
-                points = _default_points(fam.n)
             points = [tuple(_coef(a, "point coordinate") for a in pt)
                       for pt in points]
             if len(points) < 2:
@@ -480,9 +479,9 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         spec = wps_closed_form(fam, P)
         kbar = _group_degrees(P, fam.parts)
         nef, positions = wps_nef_partition(fam)
-        termwise = wps_intersection_series(fam, P, order)
         solved = (_draw_solved(nef, positions, rng, 2) if rng is not None
-                  else [(pt, None) for pt in points])
+                  else [_solve_point(nef, positions, pt) for pt in points])
+        termwise = wps_intersection_series(fam, P, order)
         point_rows = []
         for pt, rf in solved:
             y = math.prod((a ** w for a, w in zip(pt, fam.weights)),
@@ -499,7 +498,8 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         if extra:
             raise ValueError(f"{', '.join(extra)}: weighted-family "
                              "arguments; a product family takes only k")
-        key = _fixture_key(fam)
+        key = next((name for name, (f, _) in _CLOSED_FORMS.items()
+                    if f == fam), None)
         if key is None:
             raise ValueError(
                 "no bundled closed form matches this product family")

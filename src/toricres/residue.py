@@ -376,7 +376,7 @@ def residue_of_polynomial(rf, nef, P, a, kbar):
     variables of part i, with |kbar| = d.  Each monomial x^m is sent to
     prod(a_i^m_i) t^(sum m_i v_i), placed at trailing block kbar + 1 (one
     step inside the cone), evaluated by the functional, with a global sign
-    (-1)^d.  (CLI surface: `residue eval`.)
+    (-1)^d.  (CLI surface: the point rows of `verify trmc`.)
     """
     if not rf.regular:
         raise ValueError("functional is not regular")

@@ -35,8 +35,8 @@ or Fractions; a float is refused with a TypeError naming the argument.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from operator import add
 
 from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, require
@@ -105,49 +105,34 @@ class TruncatedSeries:
                 f"exponent {exp} must have {self.nvars} entries")
         return self.coeffs.get(exp, Fraction(0))
 
-    def _join(self, other):
+    def _ring(self, other, op):
+        """op on both series as LaurentPolynomials, truncated to the lower
+        order."""
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")
         if self.nvars != other.nvars:
             raise ValueError("series variable count mismatch")
-        return min(self.order, other.order)
+        order = min(self.order, other.order)
+        poly = op(LaurentPolynomial(self.nvars, self.coeffs),
+                  LaurentPolynomial(other.nvars, other.coeffs))
+        return TruncatedSeries._exact(self.nvars, order, {
+            e: c for e, c in poly.terms.items() if sum(e) <= order})
 
     def __add__(self, other):
-        order = self._join(other)
-        coeffs = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        for e, c in other.coeffs.items():
-            if sum(e) <= order:
-                coeffs[e] = coeffs.get(e, 0) + c
-        return TruncatedSeries._exact(
-            self.nvars, order, {e: c for e, c in coeffs.items() if c})
+        return self._ring(other, operator.add)
 
     def __neg__(self):
-        return TruncatedSeries._exact(
-            self.nvars, self.order, {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._ring(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            scalar = _coef(other, "scalar")
-            return TruncatedSeries._exact(
-                self.nvars, self.order,
-                {e: c * scalar for e, c in self.coeffs.items()}
-                if scalar else {})
-        order = self._join(other)
-        coeffs = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            if d1 > order:
-                continue
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > order:
-                    continue
-                e = tuple(map(add, e1, e2))
-                coeffs[e] = coeffs.get(e, 0) + c1 * c2
-        return TruncatedSeries._exact(
-            self.nvars, order, {e: c for e, c in coeffs.items() if c})
+            # a scalar is the constant series of the same order
+            other = TruncatedSeries._exact(self.nvars, self.order, {
+                (0,) * self.nvars: _coef(other, "scalar")})
+        return self._ring(other, operator.mul)
 
     __rmul__ = __mul__
 

@@ -439,6 +439,37 @@ def test_verify_trmc_flag_requirements(capsys):
                "--order", "4")[0] == 1
 
 
+@pytest.mark.parametrize("argv, stray", [
+    (("--family", fx("p4xp1.json"), "--k", "3,0",
+      "--poly", fx("x1x2.json")), "P: weighted-family arguments"),
+    (("--family", fx("quintic.json"), "--poly", fx("quintic_poly.json"),
+      "--k", "9,9"), "k belongs to product families"),
+])
+def test_verify_trmc_refuses_the_other_kinds_flag(capsys, argv, stray):
+    code, report, out = run(capsys, "verify", "trmc", *argv, "--order", "2")
+    assert code == 1
+    assert report is None
+    assert f"error: {stray}" in out.err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("functional", {"regular": False, "values": None}),
+    ("eval", {"regular": False}),
+    ("conjecture310", {"ok": False, "error": "system is not regular"}),
+])
+def test_residue_non_regular_point_exits_2(tmp_path, capsys, command,
+                                           fields):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [1, "1/2", "1/2"]}')
+    extra = ("--poly", fx("x1x2.json")) if command == "eval" else ()
+    code, report, _ = run(capsys, "residue", command,
+                          "--nefpart", fx("p2split.json"),
+                          "--coeffs", str(coeffs), *extra)
+    assert code == 2
+    assert report["coefficients"] == ["1", "1/2", "1/2"]
+    assert {key: report[key] for key in fields} == fields
+
+
 def test_out_writes_canonical_report(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, report, out = run(capsys, "mixedvol",
@@ -588,7 +619,7 @@ def test_suite_records_erroring_case(tmp_path, capsys):
         ("missing", 1, None, True), ("negative-order", 1, None, True),
         ("check", 0, None, True)]
     assert "not found" in out.err
-    assert "--order must be nonnegative" in out.err
+    assert "order must be >= 0" in out.err
     # an erroring case never matches its golden
     cases[1]["golden"] = {}
     p.write_text(json.dumps({"cases": cases}))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,9 @@ def test_weights_from_points():
     # quadric pencil on the line: kernel rank 2
     with pytest.raises(InputError):
         weights_from_points([(1,), (-1,), (2,), (-2,)], "x")
+    # the one relation, (1, 1, -1) up to sign, has entries of both signs
+    with pytest.raises(InputError, match="relation .* is not positive"):
+        weights_from_points([(1, 0), (0, 1), (1, 1)], "x")
 
 
 def test_weights_from_points_weighted():
@@ -222,6 +226,20 @@ def test_load_family_file_bad(tmp_path):
     path = write(tmp_path, "g.json", '{"dim": 2, "parts": [[[2, 0]]]}')
     with pytest.raises(InputError):
         load_family_file(path)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_nefpart_file, '{"dim": 2, "parts": []}', "empty parts list"),
+    (load_system_file,
+     '{"dim": 2, "polys": [{"dim": 1, "terms": [{"exp": [1], "coef": 1}]}]}',
+     "poly 0: dimension != 2"),
+    (load_polytope_file, '{"dim": 2, "points": [[0, 0], [1]]}',
+     "point [1] does not have 2 coordinates"),
+])
+def test_load_refuses_malformed_input(tmp_path, load, text, message):
+    path = write(tmp_path, "bad.json", text)
+    with pytest.raises(InputError, match=re.escape(message)):
+        load(path)
 
 
 def test_load_manifest_file():

@@ -2,6 +2,7 @@ import ast
 import glob
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -448,6 +449,43 @@ def test_library_has_no_module_level_mutable_container():
     assert not found, f"module-level mutable containers at {found}"
 
 
+def test_library_parses_as_python_310():
+    # the README and ROADMAP promise Python >= 3.10
+    pattern = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "toricres", "*.py")
+    paths = sorted(glob.glob(pattern))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            ast.parse(fh.read(), path, feature_version=(3, 10))
+
+
+def _python310():
+    """The python3.10 on PATH if it starts and is 3.10, else None; a
+    version-manager shim with no 3.10 behind it counts as absent."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    proc = subprocess.run(
+        [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+        capture_output=True, text=True, timeout=120)
+    return exe if proc.stdout.strip() == "True" else None
+
+
+def test_manifest_suite_passes_under_python_310():
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no python3.10 on PATH")
+    root = os.path.join(os.path.dirname(__file__), "..")
+    proc = subprocess.run(
+        [exe, "-B", "-m", "toricres.cli", "suite", "--manifest",
+         os.path.join(root, "fixtures", "manifest.json")],
+        capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "SUITE PASS" in proc.stdout
+
+
 def test_solve_functional_shape_mismatch():
     with pytest.raises(ValueError):
         solve_functional([(1, 0)], (1, 0, 0), 1)
@@ -492,13 +530,17 @@ def test_integer_kernel_basis_is_saturated():
                 assert dot(row, b) == 0
         if basis:
             assert rank(basis) == len(basis)
+    with pytest.raises(ValueError, match="ragged"):
+        integer_kernel_basis([[1, 2], [1]], 2)
 
 
 def test_quotient_by_vector():
     import math
     from itertools import combinations
 
-    for w in [(1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 2), (2, 3, 10, 15), (1,)]:
+    # (0, 0, -1) reduces to -1 in the last slot, which is flipped to 1
+    for w in [(1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 2), (2, 3, 10, 15), (1,),
+              (0, 0, -1)]:
         if len(w) == 1:
             assert quotient_by_vector(w) == []
             continue

@@ -452,7 +452,8 @@ def test_unit_weight_family_through_q():
 
 def test_verify_family_wps():
     fam = split_family()
-    report = verify_family(fam, 8, P=monomial(3, (1, 1, 0)))
+    report = verify_family(fam, 8, P=monomial(3, (1, 1, 0)),
+                           rng=random.Random(0))
     assert report["ok"]
     assert report["mode"] == "wps"
     assert report["mismatches"] == []
@@ -465,7 +466,9 @@ def test_verify_family_wps():
 def test_verify_family_wps_composite_polynomial():
     fam = split_family()
     P = q_to_p(monomial(3, (0, 0, 0)), fam.parts, degree=fam.dim)
-    report = verify_family(fam, 5, P=P)
+    points = [(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+              (Fraction(2, 3), Fraction(1, 2), Fraction(1, 9))]
+    report = verify_family(fam, 5, P=P, points=points)
     assert report["ok"]
 
 
@@ -506,6 +509,15 @@ def test_verify_family_validation():
                       points=[(1, 1, 1), (1, 2, 3)], rng=random.Random(0))
 
 
+def test_verify_family_refuses_a_non_regular_point():
+    # the point's functional is solved up front, so the pole of the closed
+    # form at y = 1/4 is never reached
+    points = [(1, Fraction(1, 2), Fraction(1, 2)), (1, 2, 3)]
+    with pytest.raises(ValueError, match="gives a non-regular system"):
+        verify_family(split_family(), 3, P=monomial(3, (1, 1, 0)),
+                      points=points)
+
+
 def test_verify_family_point_validation():
     fam = split_family()
     with pytest.raises(ValueError):
@@ -535,6 +547,13 @@ _X1X2 = monomial(3, (1, 1, 0))
                                       + monomial(3, (0, 1, 1))),
                  id="group-degrees"),
     pytest.param(split_family(), dict(), id="no-P"),
+    pytest.param(split_family(), dict(P=_X1X2), id="no-points-no-rng"),
+    # y = 1/4 is the pole of 1/(1 - 4y): the regularity check must come
+    # before the closed form is evaluated
+    pytest.param(split_family(), dict(
+        P=_X1X2, points=[(1, Fraction(1, 2), Fraction(1, 2)),
+                         (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))]),
+        id="non-regular-point"),
     pytest.param(P3XP3, dict(), id="no-k"),
     pytest.param(ProductFamily((2,), ((3,),)), dict(k=(1,)),
                  id="no-fixture"),

@@ -84,6 +84,9 @@ def test_add_and_mul_truncate_to_min_order():
     assert one_var(2, {}) + one_var(5, {4: 1}) == one_var(2, {})
     # degree-3 product term falls outside the shared window
     assert a * b == one_var(2, {2: 1})
+    assert -b == one_var(2, {2: -1})
+    assert a - b == one_var(2, {0: 1, 1: 1, 2: -1})
+    assert b - a == one_var(2, {0: -1, 1: -1, 2: 1})
 
 
 def test_mismatched_variable_count_rejected():
@@ -127,6 +130,8 @@ def test_ring_laws_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-1) * b == -(b - a)
+        assert a - a == TruncatedSeries(2, 6, {})
 
 
 def test_expand_geometric():
