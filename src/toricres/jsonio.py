@@ -227,10 +227,10 @@ def load_family_file(path):
             dims = _int_tuple(_need(data, "dims", path, list), path)
             matrix = [_int_tuple(row, path)
                       for row in _need(data, "matrix", path, list)]
-            scales = data.get("y_scales")
-            if scales is not None:
-                scales = _int_tuple(scales, path)
-            return "product", ProductFamily(dims, matrix, scales)
+            extra = sorted(set(data) - {"dims", "matrix"})
+            if extra:
+                raise InputError(f"{path}: unknown key {extra[0]!r}")
+            return "product", ProductFamily(dims, matrix)
         if "weights" in data:
             weights = _int_tuple(_need(data, "weights", path, list), path)
             parts = [_int_tuple(g, path)

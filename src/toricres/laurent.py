@@ -52,7 +52,10 @@ class LaurentPolynomial:
         return not self.terms
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
+        exp = tuple(_int(x, "exponent entry") for x in exp)
+        if len(exp) != self.dim:
+            raise ValueError(f"exponent {exp} must have {self.dim} entries")
+        return self.terms.get(exp, Fraction(0))
 
     def support(self):
         return sorted(self.terms)

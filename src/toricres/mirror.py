@@ -18,7 +18,9 @@ residue pairing never reads either series.
 
 Curve classes are enumerated over the nonnegative orthant (a single ray in
 the weighted case), and coefficients whose extraction window is empty are
-zero.  Series are expanded around the origin of the y-chart.
+zero.  Series are expanded around the origin of the family's own
+coordinates (y, or z_1..z_p, one per factor); only the P3xP3 forms in
+_CLOSED_FORMS use the chart y_i = 27 z_i, which verify_family substitutes.
 """
 
 from __future__ import annotations
@@ -104,13 +106,11 @@ class ProductFamily:
 
     dims are the factor dimensions d_1..d_p; matrix[i][j] is the degree
     n_ij of the j-th equation on the i-th factor, with row sums d_i + 1.
-    y_scales rescales the i-th series variable so bundled closed forms
-    match verbatim; it defaults to all ones.
     """
 
-    __slots__ = ("dims", "matrix", "y_scales")
+    __slots__ = ("dims", "matrix")
 
-    def __init__(self, dims, matrix, y_scales=None):
+    def __init__(self, dims, matrix):
         dims = tuple(_int(d, "factor dimension") for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("factor dimensions must be positive")
@@ -127,14 +127,8 @@ class ProductFamily:
                 raise ValueError(
                     f"row {list(row)} must sum to {d + 1} for a factor of "
                     f"dimension {d}")
-        if y_scales is None:
-            y_scales = (1,) * len(dims)
-        y_scales = tuple(_int(s, "y scale") for s in y_scales)
-        if len(y_scales) != len(dims) or any(s < 1 for s in y_scales):
-            raise ValueError("y_scales needs one positive entry per factor")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "y_scales", y_scales)
 
     def __setattr__(self, *_):
         raise AttributeError("ProductFamily is immutable")
@@ -144,7 +138,7 @@ class ProductFamily:
             getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     def __hash__(self):
-        return hash((self.dims, self.matrix, self.y_scales))
+        return hash((self.dims, self.matrix))
 
     @property
     def p(self):
@@ -160,31 +154,32 @@ class ProductFamily:
 
     def __repr__(self):
         return (f"ProductFamily(dims={list(self.dims)}, "
-                f"matrix={[list(r) for r in self.matrix]}, "
-                f"y_scales={list(self.y_scales)})")
+                f"matrix={[list(r) for r in self.matrix]})")
 
 
-P3XP3 = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)), (27, 27))
-P4XP1 = ProductFamily((4, 1), ((4, 1), (0, 2)), (1, 1))
+P3XP3 = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)))
+P4XP1 = ProductFamily((4, 1), ((4, 1), (0, 2)))
 
 
 def _closed_form_table():
     """The closed forms that yukawa_fixture and verify_family read: fixture
-    name -> (family, {indices: (numerator, denominator factors)}).  wps_diag
-    has no family; yukawa_fixture builds a new spec from it on every call."""
+    name -> (family, chart, {indices: (numerator, denominator factors)}),
+    in y_i = chart_i * z_i: P3xP3's as Hosono-Klemm-Theisen-Yau (1995) typed
+    them, the others in z.  wps_diag has no family; yukawa_fixture builds a
+    new spec from it on every call."""
     big = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
     l1 = {(0, 0): 1, (1, 0): -1}
     l2 = {(0, 0): 1, (0, 1): -1}
     d0 = {(0, 0): 1, (1, 0): -512, (2, 0): 65536, (0, 1): -4}
     d1 = {(0, 0): 1, (0, 1): -4}
     return MappingProxyType({
-        "P3xP3": (P3XP3, {
+        "P3xP3": (P3XP3, (27, 27), {
             (3, 0): ({(1, 0): 9}, [(big, 1), (l1, 2)]),
             (2, 1): ({(0, 0): 9}, [(big, 1), (l1, 1)]),
             (1, 2): ({(0, 0): 9}, [(big, 1), (l2, 1)]),
             (0, 3): ({(0, 1): 9}, [(big, 1), (l2, 2)]),
         }),
-        "P4xP1": (P4XP1, {
+        "P4xP1": (P4XP1, (1, 1), {
             (3, 0): ({(0, 0): 8}, [(d0, 1)]),
             (2, 1): ({(0, 0): 4, (1, 0): -1024, (0, 1): 16},
                      [(d0, 1), (d1, 1)]),
@@ -195,7 +190,7 @@ def _closed_form_table():
                      [(d0, 1), (d1, 3)]),
         }),
         # 18*(3 - 2y) / ((1 - 2y)(1 - y)^2)
-        "wps_diag": (None, {
+        "wps_diag": (None, (1,), {
             (3, 3): ({(0,): 54, (1,): -36},
                      [({(0,): 1, (1,): -2}, 1), ({(0,): 1, (1,): -1}, 2)]),
         }),
@@ -319,11 +314,11 @@ def wps_closed_form(fam, P):
 
 
 def product_intersection_series(fam, k, order):
-    """Series over the factor curve degrees, one y-variable per factor.
+    """Series over the factor curve degrees, one z-variable per factor.
 
-    The coefficient at beta is the z^(n_i b_i + d_i - k_i) coefficient of
-    prod_j (sum_i n_ij z_i)^(sum_i n_ij b_i + 1), divided by the variable
-    scales; out-of-range extraction windows give 0.
+    The coefficient at z^beta is the x^(n_i b_i + d_i - k_i) coefficient of
+    prod_j (sum_i n_ij x_i)^(sum_i n_ij b_i + 1); out-of-range extraction
+    windows give 0.
     """
     k = tuple(_int(x, "k entry") for x in k)
     if len(k) != fam.p:
@@ -356,8 +351,7 @@ def product_intersection_series(fam, k, order):
             powers = [sum(map(mul, col, beta)) + 1 for col in columns]
             raw = _linear_form_kernel(plan, powers, target, fact)
             if raw:
-                coeffs[beta] = Fraction(
-                    raw, math.prod(map(pow, fam.y_scales, beta)))
+                coeffs[beta] = Fraction(raw)
     return TruncatedSeries._exact(fam.p, order, coeffs)
 
 
@@ -384,15 +378,23 @@ def q_to_p(Q, parts, degree=None):
 
 
 def yukawa_fixture(name, indices):
-    """Bundled closed-form coupling for a named fixture and index choice."""
+    """Bundled closed form for a named fixture and indices, in its chart."""
     indices = tuple(_int(x, "index") for x in indices)
     if name not in _CLOSED_FORMS:
         raise ValueError(f"unknown fixture {name!r}")
-    forms = _CLOSED_FORMS[name][1]
+    forms = _CLOSED_FORMS[name][2]
     if indices not in forms:
         raise ValueError(f"unknown indices {indices} for {name}")
     num, den = forms[indices]
     return RationalFunctionSpec(len(next(iter(num))), num, den)
+
+
+def _in_z(spec, chart):
+    """spec, written in y_i = chart_i * z_i, as a function of z."""
+    def sub(poly):
+        return {e: c * math.prod(map(pow, chart, e)) for e, c in poly.items()}
+    return RationalFunctionSpec(spec.nvars, sub(spec.numerator), [
+        (sub(f), m) for f, m in spec.denominator_factors])
 
 
 def _draw_solved(nef, positions, rng, count):
@@ -450,9 +452,10 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     an rng, from which two regular points are drawn as draw_wps_points
     does; each point's functional is solved, and a given point with a
     non-regular system refused, before any series is built.  A product
-    family takes only k, and needs a bundled closed form.  Each kind
-    refuses the other kind's arguments.  Returns a report dict whose "ok"
-    is True only when every comparison is an exact match.
+    family takes only k, and needs a bundled closed form, which is
+    compared in z after its chart is substituted.  Each kind refuses the
+    other kind's arguments.  Returns a report dict whose "ok" is True only
+    when every comparison is an exact match.
     """
     order = _int(order, "order")
     if order < 0:
@@ -498,7 +501,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         if extra:
             raise ValueError(f"{', '.join(extra)}: weighted-family "
                              "arguments; a product family takes only k")
-        key = next((name for name, (f, _) in _CLOSED_FORMS.items()
+        key = next((name for name, (f, _, _) in _CLOSED_FORMS.items()
                     if f == fam), None)
         if key is None:
             raise ValueError(
@@ -508,7 +511,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         # k is checked here before any coefficient is taken; every k that
         # passes has a bundled closed form
         termwise = product_intersection_series(fam, k, order)
-        spec = yukawa_fixture(key, k)
+        spec = _in_z(yukawa_fixture(key, k), _CLOSED_FORMS[key][1])
         point_rows = []
     else:
         raise TypeError("expected a WpsFamily or ProductFamily")

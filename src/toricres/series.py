@@ -42,14 +42,6 @@ from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, require
 
 
-def inv_factorial(n):
-    """1/n! with the convention that negative integers give 0."""
-    n = _int(n, "n")
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(n))
-
-
 def _clean_poly(nvars, mapping, what):
     clean = {}
     what_exp, what_coef = f"{what} exponent entry", f"{what} coefficient"

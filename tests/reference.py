@@ -14,6 +14,9 @@ rank, solve_linear and nullspace run one sparse Fraction eliminator,
 _echelon, which the library does not use.  affine_equations finds a point
 set's affine-hull equations with nullspace and back-substitution, where the
 library reads them off the lineality basis its double description leaves.
+
+inv_factorial gives the product families' factorial forms, and in_y_chart
+takes a product series to the chart y = 27z of the bundled P3xP3 forms.
 """
 
 import math
@@ -23,6 +26,18 @@ from itertools import combinations, product
 from toricres.laurent import compositions
 from toricres.linalg import _sparse_row, det_int, dot, primitive
 from toricres.series import TruncatedSeries
+
+
+def inv_factorial(n):
+    """1/n! with the convention that negative integers give 0."""
+    return Fraction(1, math.factorial(n)) if n >= 0 else Fraction(0)
+
+
+def in_y_chart(s, scale):
+    """A series in z rewritten in y = scale * z: the coefficient at beta
+    divided by scale^|beta|."""
+    return TruncatedSeries(s.nvars, s.order, {
+        e: c / scale ** sum(e) for e, c in s.coeffs.items()})
 
 
 def _echelon(rows):

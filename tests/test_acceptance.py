@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from reference import in_y_chart, inv_factorial
 from toricres import cli, residue, series
 from toricres.cli import main as cli_main
 from toricres.laurent import (
@@ -56,7 +57,7 @@ from toricres.residue import (
     residue_setup,
     system_from_coefficients,
 )
-from toricres.series import RationalFunctionSpec, expand_rational, inv_factorial
+from toricres.series import RationalFunctionSpec, expand_rational
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -163,14 +164,15 @@ def test_criterion_3_mixed_residues_match_mixed_volumes():
 
 def test_criterion_4_first_product_family():
     def body():
+        # the series is in z and the bundled forms in y = 27z
         for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
-            s = product_intersection_series(P3XP3, k, 6)
+            s = in_y_chart(product_intersection_series(P3XP3, k, 6), 27)
             assert s == expand_rational(yukawa_fixture("P3xP3", k), 6)
         # diagonal identity: the binomially weighted sum restricted to
         # y1 = y2 = y equals 18(3-2y)/((1-2y)(1-y)^2)
         diag = {}
         for k, w in (((3, 0), 1), ((2, 1), 3), ((1, 2), 3), ((0, 3), 1)):
-            s = product_intersection_series(P3XP3, k, 8)
+            s = in_y_chart(product_intersection_series(P3XP3, k, 8), 27)
             for e, c in s.items():
                 n = e[0] + e[1]
                 diag[n] = diag.get(n, Fraction(0)) + w * c
@@ -520,10 +522,12 @@ def test_criterion_19_product_series_plan_at_order_60(monkeypatch):
         # every column of both families but the last has one nonzero
         # entry, so the kernel takes each coefficient as one forced
         # product times the last column's single term, listing nothing;
-        # the series meets the closed-form fixtures to order 60
-        for fam, name in ((P3XP3, "P3xP3"), (P4XP1, "P4xP1")):
+        # the series, taken to the fixture's chart y = scale * z, meets
+        # the closed-form fixtures to order 60
+        for fam, name, scale in ((P3XP3, "P3xP3", 27), (P4XP1, "P4xP1", 1)):
             for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
-                got = product_intersection_series(fam, k, 60)
+                got = in_y_chart(product_intersection_series(fam, k, 60),
+                                 scale)
                 assert got == expand_rational(yukawa_fixture(name, k), 60)
         assert listed == []
 

@@ -332,9 +332,10 @@ def test_series_product(capsys):
     assert code == 0
     vals = {tuple(c["exp"]): c["value"]
             for c in report["series"]["coeffs"]}
+    # in z; the bundled closed form's chart y = 27z would read 9, 18, 9
     assert vals[(0, 0)] == "9"
-    assert vals[(1, 0)] == "18"
-    assert vals[(0, 1)] == "9"
+    assert vals[(1, 0)] == str(18 * 27)
+    assert vals[(0, 1)] == str(9 * 27)
 
 
 def test_series_negative_order(capsys):
@@ -430,6 +431,30 @@ def test_verify_trmc_product(capsys):
     assert code == 0
     assert report["mode"] == "product"
     assert report["mismatches"] == []
+
+
+@pytest.mark.parametrize("k", ["3,0", "2,1", "1,2", "0,3"])
+def test_verify_trmc_plain_p3xp3_file(tmp_path, capsys, k):
+    # the family file holds dims and matrix only; the series is in z
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"dims": [3, 3], "matrix": [[3, 0, 1], [0, 3, 1]]}')
+    code, report, _ = run(capsys, "verify", "trmc", "--family", str(fam),
+                          "--k", k, "--order", "6")
+    assert code == 0
+    assert report["mode"] == "product" and report["mismatches"] == []
+
+
+def test_product_family_file_refuses_a_chart_scale(tmp_path, capsys):
+    # an old file with the removed scale key would otherwise rescale the
+    # series by 27^|beta| without a word
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"dims": [3, 3], "matrix": [[3, 0, 1], [0, 3, 1]], '
+                   '"y_scales": [27, 27]}')
+    for argv in (("verify", "trmc"), ("series", "product")):
+        code, report, out = run(capsys, *argv, "--family", str(fam),
+                                "--k", "2,1", "--order", "2")
+        assert code == 1 and report is None
+        assert "unknown key 'y_scales'" in out.err
 
 
 def test_verify_trmc_flag_requirements(capsys):

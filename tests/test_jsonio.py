@@ -26,6 +26,7 @@ from toricres.jsonio import (
     weights_from_points,
 )
 from toricres.laurent import monomial
+from toricres.mirror import P3XP3
 from toricres.series import TruncatedSeries
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -201,7 +202,7 @@ def test_load_family_file_product():
     kind, fam = load_family_file(f"{FIX}/p3xp3.json")
     assert kind == "product"
     assert fam.dims == (3, 3)
-    assert fam.y_scales == (27, 27)
+    assert fam == P3XP3
 
 
 def test_load_family_file_weights():

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reference_linear_form_coefficient
+from reference import (
+    in_y_chart,
+    inv_factorial,
+    reference_linear_form_coefficient,
+)
 from toricres import mirror, series
 from toricres.laurent import LaurentPolynomial, compositions, monomial
 from toricres.mirror import (
@@ -21,7 +25,7 @@ from toricres.mirror import (
     wps_vertex_vectors,
     yukawa_fixture,
 )
-from toricres.series import TruncatedSeries, expand_rational, inv_factorial
+from toricres.series import TruncatedSeries, expand_rational
 
 
 def quintic_family():
@@ -56,10 +60,6 @@ def test_product_family_validation():
         ProductFamily((3,), ((3, 0, 1), (0, 3, 1)))  # row count
     with pytest.raises(ValueError):
         ProductFamily((3, 3), ((3, 0, 1), (0, 4)))  # ragged
-    with pytest.raises(ValueError):
-        ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)), (27,))  # scale count
-    with pytest.raises(ValueError):
-        ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)), (0, 27))
     assert P3XP3.r == 3 and P3XP3.ambient_dim == 6
     assert P4XP1.r == 2 and P4XP1.p == 2
 
@@ -146,13 +146,15 @@ def test_wps_termwise_equals_expansion():
 
 
 def test_product_series_p3xp3():
+    # in z: the values 9, 18, 9 and 9 of the chart y = 27z, each times
+    # 27^|beta|
     s = product_intersection_series(P3XP3, (2, 1), 3)
     assert s.coefficient((0, 0)) == 9
-    assert s.coefficient((1, 0)) == 18
-    assert s.coefficient((0, 1)) == 9
+    assert s.coefficient((1, 0)) == 18 * 27
+    assert s.coefficient((0, 1)) == 9 * 27
     t = product_intersection_series(P3XP3, (3, 0), 2)
     assert t.coefficient((0, 0)) == 0
-    assert t.coefficient((1, 0)) == 9
+    assert t.coefficient((1, 0)) == 9 * 27
 
 
 def test_product_series_p4xp1():
@@ -167,11 +169,14 @@ def test_product_series_p4xp1():
 
 
 def test_product_series_scale_convention():
-    # same degree data as the bundled fixture but with unit scales:
-    # coefficients keep the raw extraction values
+    # the series is in z and keeps the raw extraction values; only the
+    # hand-typed P3xP3 form is in y = 27z, where the same coefficient is 18
     raw = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)))
+    assert raw == P3XP3 and hash(raw) == hash(P3XP3)
     s = product_intersection_series(raw, (2, 1), 1)
     assert s.coefficient((1, 0)) == 18 * 27
+    y = expand_rational(yukawa_fixture("P3xP3", (2, 1)), 1)
+    assert y.coefficient((1, 0)) == 18
 
 
 def test_series_orders_must_be_nonnegative():
@@ -206,8 +211,11 @@ def random_product_family(rng):
         for _ in range(d + 1 - len(support)):
             row[rng.choice(support)] += 1
         matrix.append(row)
-    scales = [rng.randint(1, 4) for _ in range(p)]
-    return ProductFamily(dims, matrix, scales)
+    # the draws of the removed variable scales stay, so that each seed
+    # still gives the same families
+    for _ in range(p):
+        rng.randint(1, 4)
+    return ProductFamily(dims, matrix)
 
 
 def random_k(fam, rng):
@@ -229,9 +237,8 @@ def check_against_reference(fam, k, order):
                       for d, bi, ki in zip(fam.dims, b, k)]
             forms = [(col, sum(c * bi for c, bi in zip(col, b)) + 1)
                      for col in columns]
-            scale = math.prod(s ** bi for s, bi in zip(fam.y_scales, b))
             want = reference_linear_form_coefficient(forms, target)
-            assert got.coefficient(b) == want / scale
+            assert got.coefficient(b) == want
             nonzero += want != 0
     assert all(got.coeffs.values())
     return nonzero
@@ -239,7 +246,7 @@ def check_against_reference(fam, k, order):
 
 def test_product_series_matches_factor_by_factor_reference():
     rng = random.Random(17)
-    seen = {"zero entry": 0, "single support": 0, "scale": 0, "nonzero": 0}
+    seen = {"zero entry": 0, "single support": 0, "nonzero": 0}
     for _ in range(24):
         fam = random_product_family(rng)
         k = random_k(fam, rng)
@@ -247,7 +254,6 @@ def test_product_series_matches_factor_by_factor_reference():
         seen["zero entry"] += 0 in sum(columns, ())
         seen["single support"] += fam.p > 1 and any(
             sum(1 for x in col if x) == 1 for col in columns)
-        seen["scale"] += fam.y_scales != (1,) * fam.p
         seen["nonzero"] += check_against_reference(fam, k, 9 - fam.p)
     assert min(seen.values()) >= 5, seen
 
@@ -276,8 +282,11 @@ def dense_product_family(rng):
             matrix[i][c] = 1
         for _ in range(d + 1 - len(own)):
             matrix[i][rng.choice(own)] += 1
-    scales = [rng.randint(1, 3) for _ in range(p)]
-    return ProductFamily(dims, matrix, scales)
+    # the draws of the removed variable scales stay, so that each seed
+    # still gives the same families
+    for _ in range(p):
+        rng.randint(1, 3)
+    return ProductFamily(dims, matrix)
 
 
 def test_dense_product_series_matches_factor_by_factor_reference():
@@ -374,10 +383,12 @@ def factorial_coefficient(name, k, b):
 
 def test_product_matches_fixture_expansion():
     # three independent routes: extraction, the fixture's rational
-    # function, and the factorial form, on every coefficient up to order
-    for name, fam, order in [("P3xP3", P3XP3, 5), ("P4xP1", P4XP1, 4)]:
+    # function, and the factorial form, on every coefficient up to order,
+    # in the chart of the fixture
+    for name, fam, scale, order in [("P3xP3", P3XP3, 27, 5),
+                                    ("P4xP1", P4XP1, 1, 4)]:
         for k in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-            s = product_intersection_series(fam, k, order)
+            s = in_y_chart(product_intersection_series(fam, k, order), scale)
             assert s == expand_rational(yukawa_fixture(name, k), order)
             for total in range(order + 1):
                 for b in compositions(total, 2):

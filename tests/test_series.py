@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from reference import (
+    inv_factorial,
     reference_expand_rational,
     reference_linear_form_coefficient,
 )
@@ -26,7 +27,6 @@ from toricres.series import (
     TruncatedSeries,
     _linear_form_plan,
     expand_rational,
-    inv_factorial,
     linear_form_power_coefficient,
 )
 
@@ -60,6 +60,16 @@ def test_coefficient_checks_the_exponent_length():
     for bad in ((1, 0, 0), (1,)):
         with pytest.raises(ValueError, match="must have 2 entries"):
             s.coefficient(bad)
+
+
+def test_laurent_coefficient_checks_the_exponent():
+    # a wrong-length exponent read 0, and a float entry found the int key
+    p = LaurentPolynomial(2, {(1, 1): 3})
+    assert p.coefficient((1, 1)) == 3
+    with pytest.raises(ValueError, match="must have 2 entries"):
+        p.coefficient((1, 1, 0))
+    with pytest.raises(TypeError, match="exponent entry"):
+        p.coefficient((1.0, 1))
 
 
 def test_series_is_immutable():
@@ -336,7 +346,6 @@ def _refused(case_id, call, name):
     _refused("coefficient-lookup",
              lambda: TruncatedSeries(1, 3, {}).coefficient((1.0,)),
              "exponent"),
-    _refused("inv-factorial", lambda: inv_factorial(2.5), "n"),
     _refused("linear-form-power",
              lambda: linear_form_power_coefficient([([1, 1], 2.7)], (1, 1)),
              "linear form power"),
