@@ -5,11 +5,16 @@ or fractions.Fraction; every result is exact.  No floating point anywhere.
 
 One row eliminator, _echelon_mod: each sparse {column: value} integer row
 is reduced by the stored rows modulo a prime and stored scaled to 1 at its
-lowest column, its pivot.  solve_functional scales its rows to integers and
-eliminates modulo fixed large primes; the functional is recovered by
-rational reconstruction and accepted only after an exact integer check, so
-a prime proposes and never decides.  The lattice routines stay in integers
-throughout: Bareiss for det_int, column Euclidean reduction for
+lowest column, its pivot.  A row in reduction is reduced lazily: an entry
+is taken mod p only when it is the lowest one left, the pivot candidate.
+solve_functional scales its rows to integers and eliminates modulo fixed
+large primes; the functional is recovered by rational reconstruction and
+accepted only after an exact integer check, so a prime proposes and never
+decides.  The elimination stops as soon as the rank reaches n - 1, the
+most a system with a functional can have: a kernel vector that passes the
+exact check against every row is then the only one, and a failed check
+resumes the elimination with the next row.  The lattice routines stay in
+integers throughout: Bareiss for det_int, column Euclidean reduction for
 integer_kernel_basis and quotient_by_vector.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 class NotUnique:
     """Sentinel value: the requested functional is not uniquely determined.
@@ -129,29 +135,37 @@ def _integer_row(row, ncols):
             for c, x in row.items()}
 
 
-def _echelon_mod(rows, p):
+def _echelon_mod(rows, p, rank=None, settle=None):
     """Echelon basis {pivot: tail} of integer rows modulo the prime p.
 
     A stored row is 1 at its pivot, its lowest column; tail holds its other
-    entries.
+    entries, reduced mod p.  The row in reduction is not: its lowest entry,
+    the pivot candidate, is taken mod p when it is popped and dropped when
+    that is 0, so its other entries only gather products of two residues.
+    When the basis first holds rank pivots (at the start, when rank is 0),
+    settle(pivots) is called: a true result ends the elimination there,
+    else it resumes with the next row.
     """
     pivots = {}
+    if rank == 0 and settle(pivots):
+        return pivots
     for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
+        row = dict(row)
         while row:
             c = min(row)
-            x = row.pop(c)
+            x = row.pop(c) % p
+            if not x:
+                continue
             tail = pivots.get(c)
             if tail is None:
                 inv = pow(x, -1, p)
-                pivots[c] = {j: y * inv % p for j, y in row.items()}
+                pivots[c] = {j: v for j, y in row.items()
+                             if (v := y * inv % p)}
+                if len(pivots) == rank and settle(pivots):
+                    return pivots
                 break
             for j, y in tail.items():
-                v = (row.get(j, 0) - x * y) % p
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
+                row[j] = row.get(j, 0) - x * y
     return pivots
 
 
@@ -249,34 +263,42 @@ def solve_functional(span, target, normalization):
 
     Finds lam with lam . v = 0 for every v in span and lam . target =
     normalization.  Span rows are {column: value} dicts or dense rows over
-    the columns of target.  Returns NOT_UNIQUE when the annihilator of the
-    span is not one-dimensional, or when no scaling of it meets the
-    normalization (including normalization 0, which never pins the scale).
+    the columns of target; a dict whose values are all ints and whose
+    columns all fit is taken as it is, in one pass.  Returns NOT_UNIQUE
+    when the annihilator of the span is not one-dimensional, or when no
+    scaling of it meets the normalization (including normalization 0, which
+    never pins the scale).
 
     Rows and target are scaled to integers and eliminated modulo the fixed
     primes, one at a time.  Rank n mod p proves the annihilator is 0; at
-    rank n - 1 it is at most a line.  Every other verdict rests on kernel
+    rank n - 1 it is at most a line, so the elimination stops there and
+    proposes its kernel vector at once.  Every verdict rests on kernel
     vectors recovered by rational reconstruction and checked exactly, in
-    integers, against every row: one, which scaled exactly to the
-    normalization is lam, or pairs to 0 with the target; or two
-    independent ones.  A prime whose rank or pivots fall below the best so
-    far divides a minor and is skipped; one that agrees is combined with
-    it by CRT.  When every prime fails the check, AssertionError names the
-    identity that broke.
+    integers, against every row, also the rows not yet eliminated: one,
+    which scaled exactly to the normalization is lam, or pairs to 0 with
+    the target; or two independent ones.  A vector that fails the check at
+    rank n - 1 resumes the elimination with the same pivots and the next
+    row, until the rank reaches n or the rows run out.  A prime whose rank
+    or pivots fall below the best so far divides a minor and is skipped;
+    one that agrees is combined with it by CRT.  When every prime fails the
+    check, AssertionError names the identity that broke.
     """
     target = [_coef(x, "target entry") for x in target]
     n = len(target)
-    rows = [_integer_row(v, n) for v in span]
+    rows = [row if type(row) is dict and all(
+        type(x) is int and 0 <= c < n for c, x in row.items())
+        else _integer_row(row, n) for row in span]
     scale = math.lcm(*(x.denominator for x in target))
     target = [x.numerator * (scale // x.denominator) for x in target]
     want = _coef(normalization, "normalization") * scale
     if want == 0:
         return NOT_UNIQUE
-    best, broken = None, _NO_RECON
-    for p in _PRIMES:
-        pivots = _echelon_mod(rows, p)
-        if len(pivots) == n:
-            return NOT_UNIQUE
+    best, broken, verdict = None, _NO_RECON, None
+
+    def settle(p, pivots):
+        # propose the kernel of pivots mod p, alone or combined with the
+        # best prime so far; true once the exact check accepts a verdict
+        nonlocal best, broken, verdict
         key = (-len(pivots), sorted(pivots))
         free = [c for c in range(n) if c not in pivots][:2]
         kernel = [_kernel_mod(pivots, c, n, p) for c in free]
@@ -288,9 +310,18 @@ def solve_functional(span, target, normalization):
                     [[x + m * ((y - x) * inv % p) for x, y in zip(u, v)]
                      for u, v in zip(best[2], kernel)])
         else:
-            continue
+            return False
         verdict, broken = _certify(rows, target, want, best[1], free,
                                    best[2])
+        return verdict is not None
+
+    for p in _PRIMES:
+        pivots = _echelon_mod(rows, p, n - 1, partial(settle, p))
+        if len(pivots) == n:
+            return NOT_UNIQUE
+        # at rank n - 1 settle has seen these pivots already
+        if len(pivots) < n - 1:
+            settle(p, pivots)
         if verdict is not None:
             return verdict
     require(False, broken)

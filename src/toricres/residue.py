@@ -34,14 +34,13 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, product
-from operator import add
+from operator import add, mul
 
 from .laurent import (
     LaurentPolynomial,
     cayley_polynomial,
     compositions,
     hessian_by_subsets,
-    log_derivative,
     mixed_hessian,
     positive_compositions,
 )
@@ -234,16 +233,59 @@ def _as_row(terms, basis):
     return row
 
 
+def _span_rows(F, lower, top):
+    """The products of the log-derivatives of F with the lower monomials,
+    as sparse integer rows over the top basis.
+
+    Exponents are packed as integers, one digit per coordinate, in a base
+    wider than the range of the top monomials and of a term of F plus a
+    lower monomial.  On that box the packing is one-to-one and additive, so
+    a product's exponent is one integer addition and no digit ever carries.
+    """
+    terms = list(F.terms.items())
+    sums = [(min(a) + min(b), max(a) + max(b))
+            for a, b in zip(zip(*F.terms), zip(*lower))]
+    box = [(min(lo, min(t)), max(hi, max(t)))
+           for (lo, hi), t in zip(sums, zip(*top.monomials))]
+    base = 1 + max(hi - lo for lo, hi in box)
+    weights = [base ** i for i in range(F.dim)]
+
+    def pack(e):
+        return sum(map(mul, e, weights))
+
+    index = {pack(m): i for i, m in enumerate(top.monomials)}
+    keys = [pack(e) for e, _ in terms]
+    shifts = [(pack(m), m) for m in lower]
+    span = []
+    for i in range(F.dim):
+        # x_i dF/dx_i, cleared of denominators once: the same line
+        g = [(k, e, e[i] * c) for k, (e, c) in zip(keys, terms) if e[i]]
+        if not g:
+            continue
+        scale = math.lcm(*(c.denominator for _, _, c in g))
+        g = [(k, e, c.numerator * (scale // c.denominator)) for k, e, c in g]
+        for m, mono in shifts:
+            try:
+                span.append({index[k + m]: c for k, _, c in g})
+            except KeyError:
+                for k, e, _ in g:
+                    if k + m not in index:
+                        raise ValueError(
+                            f"monomial {tuple(map(add, e, mono))} lies "
+                            "outside the graded basis") from None
+    return span
+
+
 def residue_functional(fs, nef):
     """Solve for the functional that kills all derivative products and
     sends the Hessian to the Cayley volume.
 
     Span vectors are the products of each of the d+r log-derivatives of the
     combined polynomial with every interior monomial one level down, as
-    sparse integer rows: each log-derivative is cleared of denominators
-    once, and each product is read off as its terms shifted by the
-    monomial.  A non-unique or unreachable solution means the system is
-    not regular.
+    sparse integer rows (_span_rows): each log-derivative is read off the
+    combined polynomial's terms and cleared of denominators once, and each
+    product is its terms shifted by the monomial.  A non-unique or
+    unreachable solution means the system is not regular.
     """
     fs = list(fs)
     d, r = nef.dim, nef.r
@@ -259,20 +301,8 @@ def residue_functional(fs, nef):
                 raise ValueError(f"support point {e} outside its polytope")
     setup = residue_setup(nef)
     top, vol = setup.top, setup.vol
-    n = d + r
     F = cayley_polynomial(fs)
-    span = []
-    for i in range(n):
-        g = log_derivative(F, i)
-        if g.is_zero():
-            continue
-        # a scaled row spans the same line: clear g's denominators once
-        scale = math.lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(e, c.numerator * (scale // c.denominator))
-                 for e, c in g.terms.items()]
-        for mono in setup.lower.monomials:
-            shifted = ((tuple(map(add, e, mono)), c) for e, c in terms)
-            span.append(_as_row(shifted, top))
+    span = _span_rows(F, setup.lower.monomials, top)
     hess = _as_row(hessian_by_subsets(F).terms.items(), top)
     target = [hess.get(i, 0) for i in range(len(top))]
     lam = solve_functional(span, target, vol)

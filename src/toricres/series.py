@@ -134,9 +134,10 @@ class TruncatedSeries:
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        bits = [f"{c}*y^{list(e)}" for e, c in sorted(self.coeffs.items())]
-        body = " + ".join(bits) if bits else "0"
-        return f"TruncatedSeries(order={self.order}, {body})"
+        # variable-free: a weighted series is in y, a product series in z
+        body = ", ".join(f"{e}: {c}" for e, c in sorted(self.coeffs.items()))
+        return (f"TruncatedSeries(nvars={self.nvars}, order={self.order}, "
+                f"{{{body}}})")
 
     def items(self):
         """Coefficients in lexicographic exponent order."""

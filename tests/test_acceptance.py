@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: eighteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: nineteen timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -412,7 +412,8 @@ def test_criterion_12_fixture_expansions_at_order_60():
 def test_criterion_13_p3xp3_residue_functional():
     def body():
         # the paper-scale functional: 26829 span rows on a top piece of
-        # 7876 monomials, regular at the first seeded draw
+        # 7876 monomials, regular at the first seeded draw; the first
+        # prime's elimination reaches rank 7875 after 24953 of the rows
         nef = check_nef_partition(product_parts(P3XP3))
         setup = residue_setup(nef)
         assert (len(setup.top), len(setup.lower)) == (7876, 2981)
@@ -532,3 +533,20 @@ def test_criterion_19_product_series_plan_at_order_60(monkeypatch):
         assert listed == []
 
     _run(19, 0.6, body)
+
+
+def test_criterion_20_cicy_2222_residue_functional(monkeypatch):
+    # the top piece, 31824 monomials, is over the default TORIC_MAX_BASIS
+    monkeypatch.setenv("TORIC_MAX_BASIS", "40000")
+
+    def body():
+        # the largest CICY threefold in P^n, (2,2,2,2) in P^7: 136136 span
+        # rows, regular at the first seeded draw
+        nef, _ = wps_nef_partition(
+            WpsFamily((1,) * 8, ((0, 1), (2, 3), (4, 5), (6, 7))))
+        setup = residue_setup(nef)
+        assert len(setup.top) == 31824
+        _, _, rf = draw_regular_coefficients(nef, random.Random(1))
+        assert rf.regular and len(rf.values) == 31824
+
+    _run(20, 6.0, body)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from reference import cofactor_nullvector, nullspace, rank, solve_linear
-from toricres import linalg
+from toricres import linalg, residue
 from toricres.linalg import (
     NOT_UNIQUE,
     NotUnique,
@@ -21,6 +21,7 @@ from toricres.linalg import (
     quotient_by_vector,
     solve_functional,
 )
+from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import LatticePolytope, halfspace_intersection_vertices
 
 
@@ -281,8 +282,8 @@ def test_unlucky_first_prime_moves_on(monkeypatch):
     calls = []
     real = linalg._echelon_mod
 
-    def spy(rows, p):
-        pivots = real(rows, p)
+    def spy(rows, p, *stop):
+        pivots = real(rows, p, *stop)
         calls.append((p, sorted(pivots)))
         return pivots
 
@@ -331,6 +332,111 @@ def test_small_prime_wrong_lam_fails_the_exact_check(monkeypatch):
     monkeypatch.setattr(linalg, "_PRIMES", (q, big))
     assert solve_functional([(c, 1)], (1, 0), 1) == (1, -c)
     assert proposed == [([1, -3], 1), ([1, -c], 1)]
+
+
+def test_rank_lifted_after_the_stop_resumes_to_not_unique(monkeypatch):
+    # the leading rows reach rank n - 1; a row past the stop lifts the rank
+    # to n, so the proposed kernel vector fails the exact check and the
+    # resumed elimination proves the annihilator is 0
+    checked = []
+    real = linalg._certify
+
+    def spy(rows, *args):
+        got = real(rows, *args)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(linalg, "_certify", spy)
+    rng = random.Random(47)
+    for n in [2, 3, 5, 8, 13]:
+        rows = corank_one_span(rng, n, rng.randint(0, n // 2))
+        _, ann = dense_rank_and_kernel(rows, n)
+        lift = [0] * n
+        lift[ann[0].index(1)] = rng.choice([-2, 1, 3])
+        rows.append(lift)
+        rows += [list(r) for r in rows[:2]]
+        target = tuple(rng.randint(-3, 3) for _ in range(n))
+        rank, ann = dense_rank_and_kernel(rows, n)
+        assert (rank, ann) == (n, [])
+        checked.clear()
+        assert solve_functional(rows, target, 7) is NOT_UNIQUE
+        assert dense_solve_functional(ann, target, 7) is NOT_UNIQUE
+        assert len(checked) == 1 and checked[0][0] is None
+
+
+def test_solve_functional_with_zero_and_one_column():
+    # n = 0: the annihilator is 0, never a line; n = 1: the early stop
+    # proposes (1) before any row, and a nonzero row resumes to rank 1
+    cases = [([], ()), ([()], ()), ([{}, ()], ()),
+             ([], (3,)), ([(0,), {}], (3,)), ([{0: 0}], (-2,)),
+             ([(0,), (5,)], (3,)), ([{0: Fraction(1, 2)}], (3,)),
+             ([(0,)], (0,))]
+    for rows, target in cases:
+        n = len(target)
+        _, ann = dense_rank_and_kernel([list(r) if not isinstance(r, dict)
+                                        else [r.get(0, 0)] * n
+                                        for r in rows], n)
+        for norm in (1, Fraction(-5, 3)):
+            want = dense_solve_functional(ann, target, norm)
+            assert solve_functional(rows, target, norm) == want
+    assert solve_functional([(0,), {}], (3,), 1) == (Fraction(1, 3),)
+    assert solve_functional([(0,), (5,)], (3,), 1) is NOT_UNIQUE
+
+
+def test_dict_rows_outside_the_fast_path_keep_their_errors():
+    # in-range int dicts are taken as they are; any other row is checked
+    # as before, the first bad row deciding the error
+    with pytest.raises(TypeError):
+        solve_functional([{0: 1}, {0: True}], (1, 0), 1)
+    with pytest.raises(TypeError):
+        solve_functional([{1: 0.5}, {9: 1}], (1, 0), 1)
+    with pytest.raises(ValueError):
+        solve_functional([{9: 0.5}, {1: 0.5}], (1, 0), 1)
+    assert solve_functional([{1: Fraction(1, 2)}, {1: 3}], (1, 0), 2) == (
+        2, 0)
+
+
+def test_lazy_reduction_skips_a_zero_residue():
+    # a candidate is reduced only when popped: p itself, and the grown
+    # entry 1 + p - 1 = p, both vanish mod p and never become pivots
+    p = linalg._PRIMES[0]
+    assert linalg._echelon_mod([{0: p, 1: 2 * p + 3}], p) == {1: {}}
+    assert linalg._echelon_mod([{0: 1, 1: 1}, {0: 1, 1: 1 + p}], p) == {
+        0: {1: 1}}
+
+
+def test_quintic_elimination_stops_before_its_last_span_row(monkeypatch):
+    # the first prime stops at rank n - 1 with span rows left, and its
+    # functional is the one a full elimination certifies
+    nef, _ = wps_nef_partition(WpsFamily((1,) * 5, ((0, 1, 2, 3, 4),)))
+    _, fs, rf = residue.draw_regular_coefficients(nef, random.Random(1))
+    real = linalg._echelon_mod
+    consumed = []
+
+    def counting(rows, p, *stop):
+        def rows_read():
+            for row in rows:
+                consumed[-1][0] += 1
+                yield row
+        consumed.append([0, len(rows)])
+        return real(rows_read(), p, *stop)
+
+    def full(rows, p, rank=None, settle=None):
+        # no early stop: eliminate every row, then propose at rank n - 1
+        pivots = real(rows, p)
+        if len(pivots) == rank:
+            settle(pivots)
+        return pivots
+
+    monkeypatch.setattr(linalg, "_echelon_mod", counting)
+    stopped = residue.residue_functional(fs, nef)
+    assert len(consumed) == 1
+    used, total = consumed[0]
+    assert total == 280 and used < total
+    monkeypatch.setattr(linalg, "_echelon_mod", full)
+    whole = residue.residue_functional(fs, nef)
+    assert stopped.regular and whole.regular and len(stopped.values) == 126
+    assert stopped.values == whole.values == rf.values
 
 
 def test_solve_linear_full_rank_against_dense():

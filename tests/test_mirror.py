@@ -157,6 +157,17 @@ def test_product_series_p3xp3():
     assert t.coefficient((1, 0)) == 9 * 27
 
 
+def test_product_series_repr_names_no_variable():
+    # a product series is in z, so its repr prints exponents only
+    s = product_intersection_series(P3XP3, (2, 1), 1)
+    assert repr(s) == ("TruncatedSeries(nvars=2, order=1, "
+                       "{(0, 0): 9, (0, 1): 243, (1, 0): 486})")
+    half = TruncatedSeries(1, 2, {(1,): Fraction(1, 2)})
+    assert repr(half) == "TruncatedSeries(nvars=1, order=2, {(1,): 1/2})"
+    assert repr(TruncatedSeries(2, 0, {})) == (
+        "TruncatedSeries(nvars=2, order=0, {})")
+
+
 def test_product_series_p4xp1():
     s = product_intersection_series(P4XP1, (3, 0), 2)
     assert s.coefficient((0, 0)) == 8
