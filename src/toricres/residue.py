@@ -25,6 +25,9 @@ partition alone; they are built once per NefPartition and kept on it.
 The mixed volumes of Conjecture 3.10 are counted, not hulled: the lattice
 points of the full pieces are counted by a polynomial in the multidegree
 (McMullen), whose mixed forward differences at 0 are the mixed volumes.
+The largest counts, |j| = d and d - 1, are read off the two level bases of
+the setup, which hold those pieces at j + (1,...,1); only the smaller
+pieces are enumerated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import add, mul
 
 from .laurent import (
@@ -54,7 +57,7 @@ from .linalg import (
 )
 from .polytope import _piece_cuts, cayley_polytope, nef_piece_points
 
-DEFAULT_MAX_BASIS = 20000
+DEFAULT_MAX_BASIS = 50000
 DRAW_ATTEMPTS = 50
 
 
@@ -204,18 +207,20 @@ class ResidueFunctional:
     basis: interior basis at total degree d+r; values: one rational per
     basis monomial (None when not regular); vol: normalized volume of the
     Cayley polytope; regular: whether the defining linear conditions pin
-    down a unique functional; r: the number of parts of the nef partition,
-    the length of every multidegree.
+    down a unique functional; system: the polynomials it was solved for,
+    one per part, as a tuple; r: their number, the length of every
+    multidegree.
     """
 
-    __slots__ = ("basis", "values", "vol", "regular", "r")
+    __slots__ = ("basis", "values", "vol", "regular", "r", "system")
 
-    def __init__(self, basis, values, vol, regular, r):
+    def __init__(self, basis, values, vol, regular, system):
         self.basis = basis
         self.values = values
         self.vol = vol
         self.regular = regular
-        self.r = r
+        self.system = tuple(system)
+        self.r = len(self.system)
 
     def __repr__(self):
         return (f"ResidueFunctional(size={len(self.basis)}, vol={self.vol}, "
@@ -307,8 +312,8 @@ def residue_functional(fs, nef):
     target = [hess.get(i, 0) for i in range(len(top))]
     lam = solve_functional(span, target, vol)
     if lam is NOT_UNIQUE:
-        return ResidueFunctional(top, None, vol, False, r)
-    return ResidueFunctional(top, tuple(lam), vol, True, r)
+        return ResidueFunctional(top, None, vol, False, fs)
+    return ResidueFunctional(top, tuple(lam), vol, True, fs)
 
 
 def mixed_residue(rf, h, k=None):
@@ -344,12 +349,18 @@ def _mixed_volumes(nef):
 
     Each is the mixed a-th forward difference at 0 of the piece counts
     L(j) = #(j_1*D_1 + ... + j_r*D_r), the sum over 0 <= j <= a of
-    (-1)^(|a| - |j|) * prod C(a_i, j_i) * L(j); each count is taken once.
+    (-1)^(|a| - |j|) * prod C(a_i, j_i) * L(j).  The counts at |j| = d and
+    d - 1 are those of the residue setup's top and lower bases, whose
+    pieces sit at trailing block j + (1,...,1); each smaller piece is
+    enumerated once.
     """
-    d = nef.dim
-    counts = {}
+    d, r = nef.dim, nef.r
+    counts = dict.fromkeys(compositions(d, r) + compositions(d - 1, r), 0)
+    setup = residue_setup(nef)
+    for m in chain(setup.top.monomials, setup.lower.monomials):
+        counts[tuple(x - 1 for x in m[d:])] += 1
     out = {}
-    for a in compositions(d, nef.r):
+    for a in compositions(d, r):
         mv = 0
         for j in product(*(range(x + 1) for x in a)):
             if j not in counts:
@@ -368,14 +379,22 @@ def check_mixed_volume_identity(fs, nef, rf=None):
     For every positive multidegree k at the top level, the residue of the
     k-component must equal the mixed volume of the parts taken with
     multiplicities k_i - 1, and the residues must sum to the Cayley volume.
-    The mixed volumes are counted from the full pieces (_mixed_volumes), so
-    the sum row compares lattice-point counts with the Cayley polytope's
-    triangulated volume.  rf is the system's residue functional when the
-    caller has solved it already.  Returns a report dict (CLI surface:
-    `residue conjecture310`).
+    The mixed volumes are counted from the full pieces (_mixed_volumes), the
+    largest of them read off the residue setup, so the sum row compares
+    lattice-point counts with the Cayley polytope's triangulated volume.
+    rf is the system's residue functional when the caller has solved it
+    already; one solved for another system, or on another top basis, is a
+    ValueError.  Returns a report dict (CLI surface: `residue
+    conjecture310`).
     """
+    fs = tuple(fs)
     if rf is None:
         rf = residue_functional(fs, nef)
+    elif rf.system != fs:
+        raise ValueError("residue functional was solved for another system")
+    elif rf.basis.monomials != residue_setup(nef).top.monomials:
+        raise ValueError("residue functional was solved on another top "
+                         "basis than this nef partition's")
     if not rf.regular:
         raise ValueError("system is not regular")
     d, r = nef.dim, nef.r

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: nineteen timed criteria, exact equality only.
+"""End-to-end acceptance gate: twenty timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -536,7 +536,8 @@ def test_criterion_19_product_series_plan_at_order_60(monkeypatch):
 
 
 def test_criterion_20_cicy_2222_residue_functional(monkeypatch):
-    # the top piece, 31824 monomials, is over the default TORIC_MAX_BASIS
+    # the top piece, 31824 monomials, fits under the default TORIC_MAX_BASIS
+    # too; the cap is pinned so the test does not move with the default
     monkeypatch.setenv("TORIC_MAX_BASIS", "40000")
 
     def body():
@@ -550,3 +551,28 @@ def test_criterion_20_cicy_2222_residue_functional(monkeypatch):
         assert rf.regular and len(rf.values) == 31824
 
     _run(20, 6.0, body)
+
+
+def test_criterion_21_p3xp3_mixed_volumes_off_the_setup(monkeypatch):
+    nef = check_nef_partition(product_parts(P3XP3))
+    residue_setup(nef)
+    listed = []
+    real = residue.nef_piece_points
+
+    def counting(nef, k, cuts=()):
+        listed.append(k)
+        return real(nef, k, cuts)
+
+    monkeypatch.setattr(residue, "nef_piece_points", counting)
+
+    def body():
+        # criterion 14's mixed volumes, with the counts at |j| = 5 and 6
+        # read off the setup's level bases: only pieces up to |j| = 4 are
+        # enumerated
+        mvs = residue._mixed_volumes(nef)
+        assert {a: mv for a, mv in mvs.items() if mv} == {
+            (2, 2, 2): 9, (2, 3, 1): 3, (3, 2, 1): 3, (3, 3, 0): 1}
+        assert sorted(mvs) == compositions(6, 3)
+        assert listed and max(map(sum, listed)) == 4
+
+    _run(21, 0.12, body)

@@ -518,6 +518,69 @@ def test_identity_builds_no_hull(monkeypatch):
     assert calls == []
 
 
+def test_mixed_volumes_enumerate_only_below_the_setup_levels(monkeypatch):
+    # the counts at |j| = d and d - 1 are read off the setup's two level
+    # bases; only the smaller pieces are enumerated, each once
+    _, p2split = load_nefpart_file(os.path.join(FIX, "p2split.json"))
+    nefs = [check_nef_partition(parts) for parts in (p2split, P4XP1_PARTS)]
+    nefs += [wps_nef_partition(WpsFamily(*fam))[0] for fam in (
+        ((1, 1, 1, 1, 1), ((0, 1), (2, 3, 4))),
+        ((1, 1, 1, 1, 1, 1), ((0, 1), (2, 3), (4, 5))))]
+    assert [nef.r for nef in nefs] == [2, 2, 2, 3]
+    listed = []
+    real = residue.nef_piece_points
+    monkeypatch.setattr(residue, "nef_piece_points",
+                        lambda nef, k, cuts=(): listed.append(k) or real(
+                            nef, k, cuts))
+    for nef in nefs:
+        d, r = nef.dim, nef.r
+        setup = residue.residue_setup(nef)
+        listed.clear()
+        mvs = residue._mixed_volumes(nef)
+        assert sorted(listed) == sorted(j for n in range(d - 1)
+                                        for j in compositions(n, r))
+        assert sum(mvs.values()) > 0
+        for n in (d - 1, d):
+            for j in compositions(n, r):
+                tail = tuple(x + 1 for x in j)
+                read = sum(1 for m in setup.top.monomials
+                           + setup.lower.monomials if m[d:] == tail)
+                assert read == sum(1 for _ in real(nef, j)), (nef, j)
+
+
+def identity_23_in_p4(seed):
+    nef, _ = wps_nef_partition(WpsFamily((1, 1, 1, 1, 1), ((0, 1), (2, 3, 4))))
+    _, fs, rf = draw_regular_coefficients(nef, random.Random(seed))
+    return nef, fs, rf
+
+
+def test_identity_refuses_a_functional_of_another_system():
+    # a functional solved at other coefficients must not be read as a
+    # failure of the conjecture
+    nef, fs_1, rf_1 = identity_23_in_p4(1)
+    _, fs_2, rf_2 = identity_23_in_p4(2)
+    assert fs_1 != fs_2
+    with pytest.raises(ValueError, match="solved for another system"):
+        check_mixed_volume_identity(fs_2, nef, rf_1)
+    # nor one of another nef partition
+    pent = pentagon_family()
+    rf_pent = residue_functional(system_from_coefficients(pent, A), pent)
+    with pytest.raises(ValueError, match="solved for another system"):
+        check_mixed_volume_identity(fs_1, nef, rf_pent)
+    # nor the right system on a basis other than this partition's top
+    foreign = residue.ResidueFunctional(
+        rf_pent.basis, rf_1.values, rf_1.vol, True, fs_1)
+    with pytest.raises(ValueError, match="another top basis"):
+        check_mixed_volume_identity(fs_1, nef, foreign)
+    # a second NefPartition of the same partition shares the top basis
+    other, _ = wps_nef_partition(
+        WpsFamily((1, 1, 1, 1, 1), ((0, 1), (2, 3, 4))))
+    assert other is not nef and other.residue_setup is None
+    for f, g, rf in ((fs_1, nef, rf_1), (fs_2, other, rf_2)):
+        rep = check_mixed_volume_identity(f, g, rf)
+        assert rep["all_equal"] and rep["sum_equals_vol"]
+
+
 def test_residue_of_polynomial_pentagon_point():
     # closed form 1/(1 - 4y) at y = a1*a2*a3 = 1/105 gives 105/101,
     # whichever degree-(1,1) monomial represents the class
