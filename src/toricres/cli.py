@@ -469,16 +469,26 @@ def _run(argv):
 
 
 def main(argv=None):
+    """Run one command: write --out first, then print the table and the
+    report.  A reader that closes stdout early (`| head`) ends the output
+    quietly; the exit code stays the command's."""
     args, report, code, lines = _run(argv)
     if report is None:
         return code
-    for line in lines:
-        print(line)
     payload = canonical_json(report)
-    print(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
+    try:
+        for line in lines:
+            print(line)
+        print(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again: send what is left to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -242,10 +242,26 @@ def _span_rows(F, lower, top):
     """The products of the log-derivatives of F with the lower monomials,
     as sparse integer rows over the top basis.
 
+    Rows run generator by generator, each over the lower monomials in
+    order, except that the rows a Koszul relation proves redundant come
+    last.  The log-derivatives g_i commute: for j < i and a monomial m'
+    with m' + supp g_j and m' + supp g_i inside the lower basis,
+    g_j * (x^m' g_i) = g_i * (x^m' g_j) is a relation among span rows.
+    Ordering rows by generator and then lexicographically by monomial, its
+    largest row is that of g_i at m' + (the lex-largest exponent of g_j),
+    a combination of smaller rows; by induction along the order every such
+    row lies in the span of the rows not so marked.  An elimination that
+    stops once it holds the rank of the span therefore never reaches them.
+
     Exponents are packed as integers, one digit per coordinate, in a base
     wider than the range of the top monomials and of a term of F plus a
     lower monomial.  On that box the packing is one-to-one and additive, so
     a product's exponent is one integer addition and no digit ever carries.
+    The relations are found by set intersections of packed exponents: two
+    m - t are compared, and an m - t + t' with a lower monomial (m lower,
+    t and t' terms).  Either pair differs by a difference of lower
+    monomials plus a difference of terms, no wider than the box in any
+    coordinate, so those comparisons are exact too.
     """
     terms = list(F.terms.items())
     sums = [(min(a) + min(b), max(a) + max(b))
@@ -261,7 +277,8 @@ def _span_rows(F, lower, top):
     index = {pack(m): i for i, m in enumerate(top.monomials)}
     keys = [pack(e) for e, _ in terms]
     shifts = [(pack(m), m) for m in lower]
-    span = []
+    below = {m for m, _ in shifts}
+    span, redundant, earlier = [], [], []
     for i in range(F.dim):
         # x_i dF/dx_i, cleared of denominators once: the same line
         g = [(k, e, e[i] * c) for k, (e, c) in zip(keys, terms) if e[i]]
@@ -269,16 +286,23 @@ def _span_rows(F, lower, top):
             continue
         scale = math.lcm(*(c.denominator for _, _, c in g))
         g = [(k, e, c.numerator * (scale // c.denominator)) for k, e, c in g]
+        # the m' with m' + supp g_i inside the lower basis
+        fits = set.intersection(*({m - k for m in below} for k, _, _ in g))
+        marked = set()
+        for lead, before in earlier:
+            marked.update(x + lead for x in fits & before)
+        earlier.append((max(g, key=lambda t: t[1])[0], fits))
         for m, mono in shifts:
             try:
-                span.append({index[k + m]: c for k, _, c in g})
+                row = {index[k + m]: c for k, _, c in g}
             except KeyError:
                 for k, e, _ in g:
                     if k + m not in index:
                         raise ValueError(
                             f"monomial {tuple(map(add, e, mono))} lies "
                             "outside the graded basis") from None
-    return span
+            (redundant if m in marked else span).append(row)
+    return span + redundant
 
 
 def residue_functional(fs, nef):

@@ -15,6 +15,11 @@ _echelon, which the library does not use.  affine_equations finds a point
 set's affine-hull equations with nullspace and back-substitution, where the
 library reads them off the lineality basis its double description leaves.
 
+reference_span_rows lists the residue functional's span rows in their
+natural order from exponent tuples, and reference_redundant_rows marks the
+rows a Koszul relation makes redundant by trying every candidate monomial,
+with none of the library's packed exponents or set intersections.
+
 inv_factorial gives the product families' factorial forms, and in_y_chart
 takes a product series to the chart y = 27z of the bundled P3xP3 forms.
 """
@@ -22,6 +27,7 @@ takes a product series to the chart y = 27z of the bundled P3xP3 forms.
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add, sub
 
 from toricres.laurent import compositions
 from toricres.linalg import _sparse_row, det_int, dot, primitive
@@ -92,10 +98,13 @@ def affine_equations(pts, d):
     return tuple((u, dot(u, base)) for u in eqs)
 
 
-def rank(matrix):
-    """Rank of a matrix of ints or Fractions, by the Fraction eliminator."""
+def rank(matrix, ncols=None):
+    """Rank of a matrix of ints or Fractions, by the Fraction eliminator.
+
+    Rows are dense, or {column: value} dicts over ncols columns."""
     rows = list(matrix)
-    ncols = len(rows[0]) if rows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     return len(_echelon(_sparse_row(r, ncols) for r in rows))
 
 
@@ -112,6 +121,49 @@ def solve_linear(matrix, rhs):
         return None  # underdetermined
     # the kernel of (M | rhs) is spanned by (-x, 1)
     return tuple(-y for y in _kernel_vector(pivots, ncols, ncols + 1)[:-1])
+
+
+def _log_derivative_supports(F):
+    """{i: sorted support of x_i dF/dx_i} over the nonzero ones."""
+    supps = {i: sorted(e for e in F.terms if e[i]) for i in range(F.dim)}
+    return {i: s for i, s in supps.items() if s}
+
+
+def reference_span_rows(F, lower, top):
+    """The residue functional's span rows in their natural order, as
+    ((i, m), row) pairs: x_i dF/dx_i times x^m for each nonzero
+    log-derivative in turn, over the lower monomials m in order.  Each row
+    is {top position: value}, scaled by the lcm of the log-derivative's
+    denominators."""
+    index = {m: pos for pos, m in enumerate(top.monomials)}
+    out = []
+    for i in _log_derivative_supports(F):
+        g = {e: e[i] * c for e, c in F.terms.items() if e[i]}
+        scale = math.lcm(*(c.denominator for c in g.values()))
+        for m in lower:
+            out.append(((i, m), {index[tuple(map(add, e, m))]: int(c * scale)
+                                 for e, c in g.items()}))
+    return out
+
+
+def reference_redundant_rows(F, lower):
+    """The (i, m) of the span rows a Koszul relation makes redundant.
+
+    For nonzero log-derivatives g_j, g_i with j < i, every lower monomial m
+    is tried as the row of g_i at m' + max(supp g_j), that is with
+    m' = m - max(supp g_j): it is marked when m' + supp g_j and
+    m' + supp g_i both lie in lower."""
+    inside = set(lower)
+    supps = _log_derivative_supports(F)
+    marked = set()
+    for j, i in combinations(sorted(supps), 2):
+        lead = max(supps[j])
+        for m in lower:
+            low = tuple(map(sub, m, lead))
+            if all(tuple(map(add, low, t)) in inside
+                   for t in supps[j] + supps[i]):
+                marked.add((i, m))
+    return marked
 
 
 def box_scan(lo, hi, keep):

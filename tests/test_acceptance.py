@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: twenty timed criteria, exact equality only.
+"""End-to-end acceptance gate: twenty-one timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from reference import in_y_chart, inv_factorial
-from toricres import cli, residue, series
+from toricres import cli, linalg, residue, series
 from toricres.cli import main as cli_main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -413,7 +413,7 @@ def test_criterion_13_p3xp3_residue_functional():
     def body():
         # the paper-scale functional: 26829 span rows on a top piece of
         # 7876 monomials, regular at the first seeded draw; the first
-        # prime's elimination reaches rank 7875 after 24953 of the rows
+        # prime's elimination reaches rank 7875 after 8030 of the rows
         nef = check_nef_partition(product_parts(P3XP3))
         setup = residue_setup(nef)
         assert (len(setup.top), len(setup.lower)) == (7876, 2981)
@@ -576,3 +576,30 @@ def test_criterion_21_p3xp3_mixed_volumes_off_the_setup(monkeypatch):
         assert listed and max(map(sum, listed)) == 4
 
     _run(21, 0.12, body)
+
+
+def test_criterion_22_p3xp3_elimination_skips_the_koszul_rows(monkeypatch):
+    nef = check_nef_partition(product_parts(P3XP3))
+    residue_setup(nef)
+    consumed = []
+    real = linalg._echelon_mod
+
+    def counting(rows, p, *stop):
+        def rows_read():
+            for row in rows:
+                consumed[-1] += 1
+                yield row
+        consumed.append(0)
+        return real(rows_read(), p, *stop)
+
+    monkeypatch.setattr(linalg, "_echelon_mod", counting)
+
+    def body():
+        # criterion 13's functional: the span lists the rows that Koszul
+        # relations make redundant last, so the first prime reaches rank
+        # 7875 after 8030 of the 26829 rows (24953 in natural order)
+        _, _, rf = draw_regular_coefficients(nef, random.Random(1))
+        assert rf.regular and len(rf.values) == 7876
+        assert len(consumed) == 1 and consumed[0] <= 8100
+
+    _run(22, 1.0, body)

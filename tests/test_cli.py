@@ -17,14 +17,18 @@ def fx(name):
     return os.path.join(FIX, name)
 
 
+def fresh_env():
+    """The environment with the package on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_fresh(*args):
     """Run a fresh interpreter with the given arguments, the package on its
     path."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          text=True, timeout=300, env=fresh_env())
 
 
 def run_optimized(*args):
@@ -505,6 +509,46 @@ def test_out_writes_canonical_report(tmp_path, capsys):
     assert text.endswith("\n")
     assert text.rstrip("\n") == out.out.rstrip("\n").split("\n")[-1]
     assert json.loads(text) == report
+
+
+def test_out_is_written_when_the_reader_stops_after_one_line(tmp_path):
+    # `toricres ... --out F | head -1`: F is written before stdout, and the
+    # reader closing the pipe ends the output with no traceback, exit 0
+    argv = ["-m", "toricres.cli", "series", "wps",
+            "--family", fx("quintic.json"), "--poly", fx("quintic_poly.json"),
+            "--order", "300"]
+    dest = tmp_path / "report.json"
+    proc = subprocess.Popen([sys.executable, *argv, "--out", str(dest)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=fresh_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+    whole = run_fresh(*argv)
+    # more than a pipe buffer, so the writer met the closed pipe
+    assert len(whole.stdout) > 1 << 17
+    assert first.decode() == whole.stdout.splitlines(keepends=True)[0]
+    assert dest.read_text() == whole.stdout.splitlines()[-1] + "\n"
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # stdout closed before the command prints: a non-regular point still
+    # exits 2, quietly
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [1, "1/2", "1/2"]}')
+    read, write = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricres.cli", "residue", "functional",
+         "--nefpart", fx("p2split.json"), "--coeffs", str(coeffs)],
+        stdout=write, stderr=subprocess.PIPE, env=fresh_env())
+    os.close(read)
+    os.close(write)
+    err = proc.communicate(timeout=300)[1]
+    assert proc.returncode == 2
+    assert err == b""
 
 
 def test_byte_determinism_same_seed(capsys):

@@ -406,8 +406,10 @@ def test_lazy_reduction_skips_a_zero_residue():
 
 
 def test_quintic_elimination_stops_before_its_last_span_row(monkeypatch):
-    # the first prime stops at rank n - 1 with span rows left, and its
-    # functional is the one a full elimination certifies
+    # the first prime stops at rank n - 1 = 125 without reducing a row to
+    # zero: the span lists the Koszul-redundant rows last, and the first
+    # 125 rows are independent; its functional is the one a full
+    # elimination certifies
     nef, _ = wps_nef_partition(WpsFamily((1,) * 5, ((0, 1, 2, 3, 4),)))
     _, fs, rf = residue.draw_regular_coefficients(nef, random.Random(1))
     real = linalg._echelon_mod
@@ -432,7 +434,7 @@ def test_quintic_elimination_stops_before_its_last_span_row(monkeypatch):
     stopped = residue.residue_functional(fs, nef)
     assert len(consumed) == 1
     used, total = consumed[0]
-    assert total == 280 and used < total
+    assert total == 280 and used == 125
     monkeypatch.setattr(linalg, "_echelon_mod", full)
     whole = residue.residue_functional(fs, nef)
     assert stopped.regular and whole.regular and len(stopped.values) == 126

@@ -1,14 +1,23 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from operator import add
 from types import SimpleNamespace
 
 import pytest
-from reference import reference_lattice_points
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import (
+    rank,
+    reference_lattice_points,
+    reference_redundant_rows,
+    reference_span_rows,
+)
 
 from toricres import polytope, residue
 from toricres.cli import main
@@ -23,7 +32,7 @@ from toricres.laurent import (
     monomial,
     positive_compositions,
 )
-from toricres.linalg import solve_functional
+from toricres.linalg import NOT_UNIQUE, solve_functional
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
@@ -655,3 +664,116 @@ def test_setup_is_built_once_per_nef_partition(monkeypatch):
 def test_graded_piece_basis_dedup_guard():
     with pytest.raises(AssertionError):
         GradedPieceBasis(None, [(0, 1), (0, 1)])
+
+
+# ------------------------------------------------------------ span rows
+
+
+@functools.lru_cache(maxsize=None)
+def span_nef_partitions():
+    """p2split, whose parts have negative exponents, the six weighted
+    ladder partitions and P4xP1, each with its residue setup built once."""
+    _, p2split = load_nefpart_file(os.path.join(FIX, "p2split.json"))
+    nefs = [check_nef_partition(p2split)]
+    nefs += [wps_nef_partition(WpsFamily(*fam))[0] for fam in LADDER_FAMILIES]
+    return tuple(nefs + [check_nef_partition(P4XP1_PARTS)])
+
+
+def span_case(nef, coeffs):
+    """The combined polynomial of one system, the lower monomials and the
+    top basis: the arguments of residue._span_rows."""
+    setup = residue.residue_setup(nef)
+    F = cayley_polynomial(system_from_coefficients(nef, coeffs))
+    return F, setup.lower.monomials, setup.top
+
+
+def seeded_span_cases(seed):
+    rng = random.Random(seed)
+    for nef in span_nef_partitions():
+        yield span_case(nef, [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                              for _ in nef.points])
+
+
+def test_span_rows_list_the_koszul_redundant_rows_last():
+    # every natural row once; the rows that the tuple reference marks,
+    # trying every lower monomial, follow all the others, and each group
+    # keeps the natural order
+    def multiset(rows):
+        return sorted(sorted(row.items()) for row in rows)
+
+    sizes = []
+    for F, lower, top in seeded_span_cases(1):
+        natural = reference_span_rows(F, lower, top)
+        marked = reference_redundant_rows(F, lower)
+        got = residue._span_rows(F, lower, top)
+        assert multiset(got) == multiset(row for _, row in natural)
+        assert got == (
+            [row for key, row in natural if key not in marked]
+            + [row for key, row in natural if key in marked])
+        sizes.append((len(natural), len(natural) - len(marked)))
+    # (all rows, unmarked rows): the cubic, the quartic and the quintic
+    # keep exactly their rank, one less than the top piece
+    assert sizes == [(20, 15), (12, 9), (60, 34), (105, 58), (280, 125),
+                     (305, 217), (504, 215), (3150, 1136)]
+
+
+def test_unmarked_span_rows_keep_the_rank():
+    # the Koszul induction, over Q: the unmarked rows span every row
+    for F, lower, top in seeded_span_cases(1):
+        natural = reference_span_rows(F, lower, top)
+        marked = reference_redundant_rows(F, lower)
+        kept = [row for key, row in natural if key not in marked]
+        assert len(kept) < len(natural)
+        assert rank(kept, len(top)) == rank(
+            [row for _, row in natural], len(top))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_span_rows_match_the_tuple_reference_on_wide_terms(data):
+    # synthetic inputs whose terms spread wider than the lower monomials,
+    # with negative exponents: the packed set tests against plain tuples;
+    # the lower monomials fill most of a box, so that relations are common
+    d = data.draw(st.integers(2, 3))
+
+    def points(r):
+        return st.tuples(*[st.integers(-r, r)] * d)
+
+    F = LaurentPolynomial(d, data.draw(st.dictionaries(
+        points(6), st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)),
+        min_size=1, max_size=5)))
+    lower = sorted(set(product(range(-2, 3), repeat=d))
+                   - data.draw(st.sets(points(2), max_size=20)))
+    top = GradedPieceBasis(None, {tuple(map(add, m, t))
+                                  for m in lower for t in F.terms})
+    natural = reference_span_rows(F, lower, top)
+    marked = reference_redundant_rows(F, lower)
+    assert residue._span_rows(F, lower, top) == (
+        [row for key, row in natural if key not in marked]
+        + [row for key, row in natural if key in marked])
+
+
+# coefficients that may vanish, so that supports shrink and, when every
+# point with a nonzero x_i is dropped, the log-derivative g_i is 0
+MAYBE_ZERO = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.lists(MAYBE_ZERO, min_size=4, max_size=4))
+@example(0, [Fraction(0)] * 4)
+@example(0, [Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)])
+def test_row_order_keeps_the_verdict_and_functional(which, coeffs):
+    # p2split, the cubic, the quartic and (2,2) in P3
+    nef = span_nef_partitions()[which]
+    coeffs = coeffs[:len(nef.points)]
+    rf = residue_functional(system_from_coefficients(nef, coeffs), nef)
+    F, lower, top = span_case(nef, coeffs)
+    hess = hessian_by_subsets(F).terms
+    natural = solve_functional(
+        [row for _, row in reference_span_rows(F, lower, top)],
+        [hess.get(m, 0) for m in top.monomials], rf.vol)
+    if rf.regular:
+        assert natural == rf.values
+    else:
+        assert natural is NOT_UNIQUE and rf.values is None
