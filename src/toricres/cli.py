@@ -30,6 +30,7 @@ from .jsonio import (
     series_json,
 )
 from .laurent import cayley_polynomial, hessian, mixed_hessian
+from .linalg import _multidegree
 from .mirror import (
     product_intersection_series,
     verify_family,
@@ -212,9 +213,8 @@ def cmd_residue(args):
     if args.subcommand == "eval":
         # every input is checked before the functional is solved
         h = load_laurent(args.poly, args.poly)
-        k = _parse_ints(args.k, "--k") if args.k is not None else None
-        if k is not None and len(k) != nef.r:
-            raise InputError(f"--k must have {nef.r} entries, got {len(k)}")
+        k = (None if args.k is None
+             else _multidegree(_parse_ints(args.k, "--k"), nef.r, "--k"))
     coeffs, fs, rf = _system_for(args, nef)
     base = {"coefficients": [rat_str(c) for c in coeffs]}
     if args.subcommand == "functional":

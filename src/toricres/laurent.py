@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .linalg import _coef, _int, det_int
+from .linalg import _coef, _int, _multidegree, det_int
 from .polytope import LatticePolytope
 
 
@@ -259,14 +259,12 @@ def mixed_hessian(fs, k):
     """
     fs = list(fs)
     r = len(fs)
+    if r == 0:
+        raise ValueError("mixed_hessian: empty system")
     d = fs[0].dim
     if any(f.dim != d for f in fs):
         raise ValueError("mixed_hessian: dimension mismatch")
-    k = tuple(_int(x, "multidegree entry") for x in k)
-    if len(k) != r or any(x < 0 for x in k):
-        raise ValueError("mixed_hessian: bad multidegree")
-    if sum(k) != d + r:
-        raise ValueError("mixed_hessian: |k| must be d + r")
+    k = _multidegree(k, r, total=d + r)
     if any(x == 0 for x in k):
         return zero(d + r)
     supports = [sorted(f.terms) for f in fs]
@@ -287,6 +285,39 @@ def mixed_hessian(fs, k):
         exp = total + k
         terms[exp] = terms.get(exp, Fraction(0)) + coef
     return LaurentPolynomial(d + r, terms)
+
+
+def _check_polynomial(P, nvars, what="P"):
+    """Refuse anything but a nonzero polynomial in nvars variables with no
+    negative exponent: a coefficient polynomial."""
+    if not isinstance(P, LaurentPolynomial):
+        raise TypeError(f"{what} must be a LaurentPolynomial")
+    if P.dim != nvars:
+        raise ValueError(f"{what} must use {nvars} variables, got {P.dim}")
+    if not P.terms:
+        raise ValueError(f"{what} must be nonzero")
+    for e in P.terms:
+        if any(x < 0 for x in e):
+            raise ValueError(f"{what} has a negative exponent in {e}")
+
+
+def _total_degree(P, degree, what="P"):
+    """Refuse P unless every term has total degree `degree`."""
+    if any(sum(e) != degree for e in P.terms):
+        raise ValueError(f"{what} must be homogeneous of degree {degree}")
+
+
+def _group_degrees(P, groups, what="P"):
+    """P's degree in each group of variable indices, the same for every
+    term, else a ValueError."""
+    out = None
+    for e in P.terms:
+        degs = tuple(sum(e[i] for i in group) for group in groups)
+        if out is None:
+            out = degs
+        elif degs != out:
+            raise ValueError(f"{what} is not homogeneous per group")
+    return out
 
 
 def multidegree_component(f, k, r):

@@ -72,6 +72,28 @@ def _coef(x, what):
     raise TypeError(f"{what} must be an int or Fraction, got {x!r}")
 
 
+def _multidegree(k, length, what="multidegree", total=None):
+    """k as a tuple of ints, one per part or factor, every entry >= 0 and,
+    when total is given, summing to it.  The one check of a multidegree:
+    a non-int entry is a TypeError, any other fault a ValueError."""
+    k = tuple(_int(x, f"{what} entry") for x in k)
+    if len(k) != length:
+        raise ValueError(f"{what} must have {length} entries, got {len(k)}")
+    if any(x < 0 for x in k):
+        raise ValueError(f"{what} must have nonnegative entries, got {k}")
+    if total is not None and sum(k) != total:
+        raise ValueError(f"{what} must sum to {total}, got {k}")
+    return k
+
+
+def _order(order):
+    """A truncation order: an int >= 0, else a TypeError or ValueError."""
+    order = _int(order, "order")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return order
+
+
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dot: length mismatch")

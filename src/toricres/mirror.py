@@ -30,8 +30,21 @@ from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
 
-from .laurent import LaurentPolynomial, compositions
-from .linalg import _coef, _int, quotient_by_vector, require
+from .laurent import (
+    LaurentPolynomial,
+    _check_polynomial,
+    _group_degrees,
+    _total_degree,
+    compositions,
+)
+from .linalg import (
+    _coef,
+    _int,
+    _multidegree,
+    _order,
+    quotient_by_vector,
+    require,
+)
 from .polytope import check_nef_partition
 from .residue import (
     draw_regular_coefficients,
@@ -212,36 +225,6 @@ def _split_parts(parts, n=None):
     return parts
 
 
-def _check_polynomial(P, nvars, what="P"):
-    if not isinstance(P, LaurentPolynomial):
-        raise TypeError(f"{what} must be a LaurentPolynomial")
-    if P.dim != nvars:
-        raise ValueError(f"{what} must use {nvars} variables, got {P.dim}")
-    if not P.terms:
-        raise ValueError(f"{what} must be nonzero")
-    for e in P.terms:
-        if any(x < 0 for x in e):
-            raise ValueError(f"{what} has a negative exponent in {e}")
-
-
-def _total_degree(P, what="P"):
-    degs = {sum(e) for e in P.terms}
-    if len(degs) != 1:
-        raise ValueError(f"{what} is not homogeneous")
-    return degs.pop()
-
-
-def _group_degrees(P, parts, what="P"):
-    out = None
-    for e in P.terms:
-        degs = tuple(sum(e[i] for i in part) for part in parts)
-        if out is None:
-            out = degs
-        elif degs != out:
-            raise ValueError(f"{what} is not homogeneous per group")
-    return out
-
-
 def wps_vertex_vectors(fam):
     """One primitive lattice vector per coordinate, summing to 0 weightedly.
 
@@ -277,9 +260,7 @@ def wps_nef_partition(fam):
 def _wps_constants(fam, P):
     """(P(w), prod w_i, prod w_i^w_i, prod d_j^d_j) for a P of degree dim."""
     _check_polynomial(P, fam.n)
-    if _total_degree(P) != fam.dim:
-        raise ValueError(
-            f"P must be homogeneous of degree {fam.dim}")
+    _total_degree(P, fam.dim)
     return (P.evaluate(fam.weights), math.prod(fam.weights),
             math.prod(w ** w for w in fam.weights),
             math.prod(dj ** dj for dj in fam.degrees))
@@ -292,9 +273,7 @@ def wps_intersection_series(fam, P, order):
     computed independently of the closed form.
     """
     pw, wprod, wpow, step = _wps_constants(fam, P)
-    order = _int(order, "order")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _order(order)
     # prod w_i^(w_i*b + 1) = wprod * wpow^b; both powers run with b
     coeffs = {}
     if pw:
@@ -320,17 +299,8 @@ def product_intersection_series(fam, k, order):
     prod_j (sum_i n_ij x_i)^(sum_i n_ij b_i + 1); out-of-range extraction
     windows give 0.
     """
-    k = tuple(_int(x, "k entry") for x in k)
-    if len(k) != fam.p:
-        raise ValueError(f"k must have {fam.p} entries")
-    if any(x < 0 for x in k):
-        raise ValueError("k entries must be nonnegative")
-    want = fam.ambient_dim - fam.r
-    if sum(k) != want:
-        raise ValueError(f"sum of k must be {want}")
-    order = _int(order, "order")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    k = _multidegree(k, fam.p, "k", fam.ambient_dim - fam.r)
+    order = _order(order)
     # target_i = n_i b_i + (d_i - k_i) with n_i = d_i + 1
     ns = tuple(d + 1 for d in fam.dims)
     base = tuple(d - kk for d, kk in zip(fam.dims, k))
@@ -367,9 +337,7 @@ def q_to_p(Q, parts, degree=None):
     _check_polynomial(Q, n, "Q")
     _group_degrees(Q, parts, "Q")
     if degree is not None:
-        want = _int(degree, "degree") - len(parts)
-        if _total_degree(Q, "Q") != want:
-            raise ValueError(f"Q must be homogeneous of degree {want}")
+        _total_degree(Q, _int(degree, "degree") - len(parts), "Q")
     P = Q
     for part in parts:
         unit = lambda i: tuple(1 if j == i else 0 for j in range(n))
@@ -437,12 +405,12 @@ def _solve_point(nef, positions, point):
     return point, rf
 
 
-def _wps_residue_value(nef, positions, P, point, kbar, rf):
+def _wps_residue_value(nef, positions, P, point, rf):
     """The residue pairing of P at a point whose functional rf is solved."""
     P_in = LaurentPolynomial(len(nef.points), {
         tuple(_in_nef_order(positions, e)): c for e, c in P.terms.items()})
     return residue_of_polynomial(rf, nef, P_in,
-                                 _in_nef_order(positions, point), kbar)
+                                 _in_nef_order(positions, point))
 
 
 def verify_family(fam, order, P=None, k=None, points=None, rng=None):
@@ -457,9 +425,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     other kind's arguments.  Returns a report dict whose "ok" is True only
     when every comparison is an exact match.
     """
-    order = _int(order, "order")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _order(order)
     if isinstance(fam, WpsFamily):
         if P is None:
             raise ValueError("a weighted family needs the polynomial P")
@@ -480,7 +446,9 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
                     raise ValueError(f"bad coefficient point {pt}")
         mode = "wps"
         spec = wps_closed_form(fam, P)
-        kbar = _group_degrees(P, fam.parts)
+        # the residue pairing reads P's part degrees again; refuse a P that
+        # has none before any series is built
+        _group_degrees(P, fam.parts)
         nef, positions = wps_nef_partition(fam)
         solved = (_draw_solved(nef, positions, rng, 2) if rng is not None
                   else [_solve_point(nef, positions, pt) for pt in points])
@@ -490,7 +458,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
             y = math.prod((a ** w for a, w in zip(pt, fam.weights)),
                           start=Fraction(1))
             closed = spec.evaluate([y])
-            res = _wps_residue_value(nef, positions, P, pt, kbar, rf)
+            res = _wps_residue_value(nef, positions, P, pt, rf)
             point_rows.append({"a": pt, "y": y, "closed_form": closed,
                                "residue": res, "equal": closed == res})
     elif isinstance(fam, ProductFamily):
@@ -506,10 +474,9 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         if key is None:
             raise ValueError(
                 "no bundled closed form matches this product family")
-        k = tuple(_int(x, "k entry") for x in k)
         mode = "product"
-        # k is checked here before any coefficient is taken; every k that
-        # passes has a bundled closed form
+        # product_intersection_series checks k before it takes any
+        # coefficient; every k that passes has a bundled closed form
         termwise = product_intersection_series(fam, k, order)
         spec = _in_z(yukawa_fixture(key, k), _CLOSED_FORMS[key][1])
         point_rows = []

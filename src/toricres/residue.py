@@ -36,11 +36,14 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import accumulate, chain, islice, product
 from operator import add, mul
 
 from .laurent import (
     LaurentPolynomial,
+    _check_polynomial,
+    _group_degrees,
+    _total_degree,
     cayley_polynomial,
     compositions,
     hessian_by_subsets,
@@ -51,6 +54,7 @@ from .linalg import (
     NOT_UNIQUE,
     _coef,
     _int,
+    _multidegree,
     dot,
     require,
     solve_functional,
@@ -89,15 +93,6 @@ class GradedPieceBasis:
                 f"size={len(self.monomials)})")
 
 
-def _check_multidegree(nef, k):
-    k = tuple(_int(x, "multidegree entry") for x in k)
-    if len(k) != nef.r:
-        raise ValueError("multidegree length must equal the number of parts")
-    if any(x < 0 for x in k):
-        raise ValueError("multidegree must be nonnegative")
-    return k
-
-
 def _guarded(points):
     """List the points, refusing once there are more than TORIC_MAX_BASIS."""
     raw = os.environ.get("TORIC_MAX_BASIS", str(DEFAULT_MAX_BASIS))
@@ -115,7 +110,7 @@ def _guarded(points):
 
 def graded_basis(nef, k):
     """Monomial basis of the full graded piece at multidegree k."""
-    k = _check_multidegree(nef, k)
+    k = _multidegree(k, nef.r)
     return GradedPieceBasis(k, [p + k for p in
                                 _guarded(nef_piece_points(nef, k))])
 
@@ -154,7 +149,7 @@ def interior_basis(nef, k, _cayley=None):
     are listed, one past the piece at most, and must equal the monomials.
     Only the returned piece counts against TORIC_MAX_BASIS.
     """
-    k = _check_multidegree(nef, k)
+    k = _multidegree(k, nef.r)
     if any(x < 1 for x in k):
         raise ValueError("interior piece needs every k_i >= 1")
     below = [m - 1 for m in k]
@@ -343,29 +338,20 @@ def residue_functional(fs, nef):
 def mixed_residue(rf, h, k=None):
     """Evaluate the functional on an element supported in the top basis.
 
-    With k given, it must have one entry per part, and every monomial of h
-    must carry exactly that trailing block.  Support outside the recorded
-    basis signals a mis-built element and is rejected.
+    With k given, it must have one nonnegative entry per part, and every
+    monomial of h must carry exactly that trailing block.  h is looked up
+    in the basis as the Hessian target is (_as_row): support outside it
+    signals a mis-built element and is rejected.
     """
     if not rf.regular:
         raise ValueError("functional is not regular")
     if k is not None:
-        k = tuple(_int(x, "multidegree entry") for x in k)
-        if not k:
-            raise ValueError("multidegree k must be nonempty")
-        if len(k) != rf.r:
-            raise ValueError(
-                f"multidegree k must have {rf.r} entries, got {len(k)}")
+        k = _multidegree(k, rf.r)
         for e in h.terms:
             if e[len(e) - len(k):] != k:
                 raise ValueError(f"monomial {e} is not of multidegree {k}")
-    total = Fraction(0)
-    for e, c in h.terms.items():
-        i = rf.basis.index.get(e)
-        if i is None:
-            raise ValueError(f"monomial {e} lies outside the recorded basis")
-        total += c * rf.values[i]
-    return total
+    row = _as_row(h.terms.items(), rf.basis)
+    return sum((c * rf.values[i] for i, c in row.items()), Fraction(0))
 
 
 def _mixed_volumes(nef):
@@ -441,12 +427,13 @@ def check_mixed_volume_identity(fs, nef, rf=None):
     }
 
 
-def residue_of_polynomial(rf, nef, P, a, kbar):
+def residue_of_polynomial(rf, nef, P, a):
     """Residue pairing of a part-homogeneous coefficient polynomial.
 
     P is a polynomial whose variables correspond one-to-one with
-    nef.points; it must be homogeneous of degree kbar_i in the block of
-    variables of part i, with |kbar| = d.  Each monomial x^m is sent to
+    nef.points, with no negative exponent; it must be homogeneous of some
+    degree kbar_i in the block of variables of part i, read off P, with
+    |kbar| = d.  Each monomial x^m is sent to
     prod(a_i^m_i) t^(sum m_i v_i), placed at trailing block kbar + 1 (one
     step inside the cone), evaluated by the functional, with a global sign
     (-1)^d.  (CLI surface: the point rows of `verify trmc`.)
@@ -455,28 +442,16 @@ def residue_of_polynomial(rf, nef, P, a, kbar):
         raise ValueError("functional is not regular")
     d, r = nef.dim, nef.r
     pts = nef.points
-    if P.dim != len(pts):
-        raise ValueError("polynomial must have one variable per part point")
-    kbar = tuple(_int(x, "part degree") for x in kbar)
-    if len(kbar) != r or any(x < 0 for x in kbar):
-        raise ValueError("bad part degrees")
-    if sum(kbar) != d:
-        raise ValueError("part degrees must sum to the dimension")
-    sizes = [len(part) for part in nef.parts]
-    starts = [sum(sizes[:i]) for i in range(r)]
+    _check_polynomial(P, len(pts))
+    _total_degree(P, d)
+    starts = [0, *accumulate(map(len, nef.parts))]
+    kbar = _group_degrees(P, list(map(range, starts, starts[1:])))
     a = [_coef(x, "coefficient") for x in a]
     if len(a) != len(pts):
         raise ValueError("need one coefficient per part point")
     tail = tuple(x + 1 for x in kbar)
     terms = {}
     for m, c in P.terms.items():
-        if any(x < 0 for x in m):
-            raise ValueError("negative exponent in a coefficient polynomial")
-        for j in range(r):
-            block = m[starts[j]:starts[j] + sizes[j]]
-            if sum(block) != kbar[j]:
-                raise ValueError(
-                    f"monomial {m} is not homogeneous of degree {kbar}")
         coef = c
         exp = (0,) * d
         for mi, ai, v in zip(m, a, pts):

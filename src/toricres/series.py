@@ -39,7 +39,7 @@ import operator
 from fractions import Fraction
 
 from .laurent import LaurentPolynomial, compositions
-from .linalg import _coef, _int, require
+from .linalg import _coef, _int, _order, require
 
 
 def _clean_poly(nvars, mapping, what):
@@ -64,11 +64,9 @@ class TruncatedSeries:
 
     def __init__(self, nvars, order, coeffs=None):
         nvars = _int(nvars, "nvars")
-        order = _int(order, "order")
+        order = _order(order)
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
         clean = _clean_poly(nvars, coeffs or {}, "series")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
@@ -238,9 +236,7 @@ def expand_rational(spec, order):
     """
     if not isinstance(spec, RationalFunctionSpec):
         raise TypeError("expected a RationalFunctionSpec")
-    order = _int(order, "order")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _order(order)
     nvars = spec.nvars
     base = order + 1
     unit = base ** nvars  # a packed key's degree is key // unit

@@ -247,9 +247,9 @@ def test_residue_eval_needs_poly(capsys):
 
 def test_residue_eval_checks_inputs_before_solving(tmp_path, capsys,
                                                    monkeypatch):
-    # a missing --poly, a malformed --k or one without an entry per part
-    # exits 1 before any functional is solved, on the seeded and on the
-    # explicit route alike
+    # a missing --poly, a malformed --k, one without an entry per part or
+    # one with a negative entry exits 1 before any functional is solved, on
+    # the seeded and on the explicit route alike
     calls = []
 
     def counting(module):
@@ -267,7 +267,8 @@ def test_residue_eval_checks_inputs_before_solving(tmp_path, capsys,
     for point in ((), ("--coeffs", fx("a.json"))):
         for argv in ((), ("--poly", str(h), "--k", "a"),
                      ("--poly", str(h), "--k", "3"),
-                     ("--poly", str(h), "--k", "1,1,3")):
+                     ("--poly", str(h), "--k", "1,1,3"),
+                     ("--poly", str(h), "--k", "2,-1")):
             code, report, out = run(capsys, "residue", "eval",
                                     "--nefpart", fx("p2split.json"),
                                     *point, *argv)

@@ -178,6 +178,8 @@ def test_mixed_hessian_validation():
         mixed_hessian(fs, (5, -1))
     with pytest.raises(ValueError):
         mixed_hessian(fs, (4,))
+    with pytest.raises(ValueError, match="empty system"):
+        mixed_hessian([], ())
     assert mixed_hessian(fs, (0, 4)).is_zero()
     assert mixed_hessian(fs, (4, 0)).is_zero()
 

@@ -523,6 +523,22 @@ def test_library_has_no_float():
         assert not lines, f"{path}: float literal or call at lines {lines}"
 
 
+def test_argument_checks_live_in_linalg_alone():
+    # a truncation order and a multidegree each have one check, _order and
+    # _multidegree; their messages anywhere else would mean a second copy
+    pattern = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "toricres", "*.py")
+    paths = sorted(glob.glob(pattern))
+    assert paths
+    for phrase in ("order must be >= 0", "must have nonnegative entries"):
+        found = []
+        for path in paths:
+            with open(path) as fh:
+                if phrase in fh.read():
+                    found.append(os.path.basename(path))
+        assert found == ["linalg.py"], (phrase, found)
+
+
 def test_library_has_no_module_level_mutable_container():
     # a module-level dict, list or set outlives every call: a global cache
     # by another name.  __all__ and the cli dispatch table are fixed data.

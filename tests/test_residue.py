@@ -383,9 +383,9 @@ def test_mixed_residue_tail_check():
     mixed_residue(rf, h, (2, 2))
     with pytest.raises(ValueError, match="multidegree"):
         mixed_residue(rf, h, (3, 1))
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match="must have 2 entries, got 0"):
         mixed_residue(rf, h, ())  # every monomial ends in ()
-    with pytest.raises(ValueError, match="outside the recorded basis"):
+    with pytest.raises(ValueError, match="outside the graded basis"):
         mixed_residue(rf, monomial(4, (9, 9, 2, 2)))
 
 
@@ -404,7 +404,7 @@ def test_mixed_residue_refuses_a_short_k():
         mixed_residue(rf, h, (2,))
     with pytest.raises(ValueError, match="must have 2 entries, got 3"):
         mixed_residue(rf, h, (0, 2, 2))
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match="must have 2 entries, got 0"):
         mixed_residue(rf, h, ())
 
 
@@ -598,11 +598,11 @@ def test_residue_of_polynomial_pentagon_point():
     rf = residue_functional(fs, nef)
     P1 = LaurentPolynomial(3, {(1, 0, 1): 1})
     P2 = LaurentPolynomial(3, {(1, 1, 0): 1})
-    assert residue_of_polynomial(rf, nef, P1, A, (1, 1)) == Fraction(105, 101)
-    assert residue_of_polynomial(rf, nef, P2, A, (1, 1)) == Fraction(105, 101)
+    assert residue_of_polynomial(rf, nef, P1, A) == Fraction(105, 101)
+    assert residue_of_polynomial(rf, nef, P2, A) == Fraction(105, 101)
     # linearity in P
     P3 = LaurentPolynomial(3, {(1, 0, 1): Fraction(7, 2)})
-    assert (residue_of_polynomial(rf, nef, P3, A, (1, 1))
+    assert (residue_of_polynomial(rf, nef, P3, A)
             == Fraction(7, 2) * Fraction(105, 101))
 
 
@@ -610,18 +610,24 @@ def test_residue_of_polynomial_validation():
     nef = pentagon_family()
     fs = system_from_coefficients(nef, A)
     rf = residue_functional(fs, nef)
-    bad_block = LaurentPolynomial(3, {(0, 1, 1): 1})  # degree 0 in part 1
-    with pytest.raises(ValueError, match="homogeneous"):
-        residue_of_polynomial(rf, nef, bad_block, A, (1, 1))
-    with pytest.raises(ValueError, match="sum to the dimension"):
-        residue_of_polynomial(rf, nef, LaurentPolynomial(3, {(1, 0, 1): 1}),
-                              A, (2, 1))
+    # part degrees (1, 1) and (0, 2): P has none of its own
+    mixed = LaurentPolynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1})
+    with pytest.raises(ValueError, match="P is not homogeneous per group"):
+        residue_of_polynomial(rf, nef, mixed, A)
+    with pytest.raises(ValueError, match="P must be homogeneous of degree 2"):
+        residue_of_polynomial(rf, nef, LaurentPolynomial(3, {(2, 0, 1): 1}),
+                              A)
     with pytest.raises(ValueError, match="negative"):
         residue_of_polynomial(rf, nef, LaurentPolynomial(3, {(-1, 1, 2): 1}),
-                              A, (1, 1))
-    with pytest.raises(ValueError):
-        residue_of_polynomial(rf, nef, LaurentPolynomial(2, {(1, 1): 1}),
-                              A, (1, 1))
+                              A)
+    with pytest.raises(ValueError, match="P must use 3 variables, got 2"):
+        residue_of_polynomial(rf, nef, LaurentPolynomial(2, {(1, 1): 1}), A)
+    with pytest.raises(ValueError, match="P must be nonzero"):
+        residue_of_polynomial(rf, nef, LaurentPolynomial(3, {}), A)
+    # part degrees (0, 2) are read off P; paired at trailing block (1, 3),
+    # the monomial represents the same class as those of degree (1, 1)
+    assert residue_of_polynomial(
+        rf, nef, LaurentPolynomial(3, {(0, 1, 1): 1}), A) == Fraction(105, 101)
 
 
 def test_draw_regular_coefficients_deterministic():
