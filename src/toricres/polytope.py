@@ -1,4 +1,4 @@
-"""Exact lattice polytopes: hulls, Minkowski sums, volumes, duality.
+"""Exact lattice polytopes: hulls, Minkowski sums, mixed volumes, duality.
 
 Geometry is done entirely over the integers / exact rationals at desk scale.
 Hulls come from one exact double-description routine on integer rows: for
@@ -7,10 +7,11 @@ homogenized generators (1, p), built one generator at a time; for a
 halfspace system, the vertices are the extreme rays of the cone cut out by
 its homogenized rows.  Volumes sum |det| over a pulling triangulation read
 off the vertices and facets the hull already has, so no face is hulled
-again.  Lattice points come from one lazy enumerator over a system of cuts
-<x, e> >= c: it fixes one coordinate at a time and bounds it by every cut,
-with the later coordinates at their best over a bounding box, so each point
-it reaches is a point of the polytope.
+again; on a Cayley polytope, split by simplex type, they are mixed volumes.
+Lattice points come from one lazy enumerator over cuts <x, e> >= c: it
+fixes one coordinate at a time and bounds it by every cut, with the later
+coordinates at their best over a bounding box, so each point it reaches is
+a point of the polytope.
 
 Conventions
 -----------
@@ -24,13 +25,12 @@ induced on the affine hull (ambient lattice intersected with the hull).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations
 
 from .linalg import (
     _coef,
     _int,
+    _multidegree,
     det_int,
     dot,
     integer_kernel_basis,
@@ -101,7 +101,7 @@ class LatticePolytope:
 
     def normalized_volume(self):
         """dim! times Euclidean volume in the induced affine-hull lattice."""
-        return _norm_volume(self)
+        return sum(_norm_volume(self).values())
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope)
@@ -256,9 +256,12 @@ def _hull_description(pts, d):
     return verts, eqs, tuple(sorted(facets))
 
 
-def _norm_volume(poly):
-    """Normalized volume, summed over a pulling triangulation read off the
-    facets (De Loera-Rambau-Santos, Triangulations, 2010).
+def _norm_volume(poly, r=0):
+    """Normalized volume {a: vol} of a pulling triangulation read off the
+    facets (De Loera-Rambau-Santos, Triangulations, 2010), by simplex type
+    a: the sum of the vertices' last r coordinates, less 1 per entry.  On a
+    Cayley polytope of r parts that takes a_j + 1 vertices from part j, and
+    type a sums to MV(P_1^a_1, ..., P_r^a_r) (Sturmfels 1994).
 
     A face is a bit mask over poly.vertices; facet (n, c) covers the
     vertices with <n, v> = -c, and the facets of a face F are the
@@ -280,22 +283,27 @@ def _norm_volume(poly):
         index = det_int([[dot(a, b) for b in basis] for a in basis])
     facets = [sum(1 << i for i, p in enumerate(poly.vertices)
                   if dot(n, p) == -c) for n, c in poly.facets]
-    total = 0
+    tails = [p[poly.ambient_dim - r:] for p in poly.vertices]
+    totals = {}
     stack = [((1 << len(verts)) - 1, ())]
     while stack:
         face, apexes = stack.pop()
         low = face & -face  # the face's lowest vertex, as a mask
         v = low.bit_length() - 1
         if face == low:
-            total += abs(det_int([_sub(verts[a], verts[v]) for a in apexes]))
+            a = tuple(sum(c) - 1 for c in zip(*(tails[i] for i in apexes),
+                                              tails[v]))
+            totals[a] = totals.get(a, 0) + abs(det_int(
+                [_sub(verts[i], verts[v]) for i in apexes]))
             continue
         subs = {face & g for g in facets} - {0, face}
         stack.extend((f, apexes + (v,)) for f in subs if not f & low
                      and not any(f != o and f & o == f for o in subs))
-    vol, rest = divmod(total, index)
-    require(rest == 0, "_norm_volume: simplex volumes do not sum to a "
-            "multiple of the lattice index")
-    return vol
+    for a, total in totals.items():
+        totals[a], rest = divmod(total, index)
+        require(rest == 0, f"_norm_volume: simplices of type {a} do not sum "
+                "to a multiple of the lattice index")
+    return totals
 
 
 def _box(vertices):
@@ -379,12 +387,9 @@ def minkowski_sum_all(polys):
 
 
 def mixed_volume(polys) -> Fraction:
-    """Mixed volume of d polytopes in dimension d.
-
-    Normalized so that the diagonal gives the normalized volume:
-    V(P, ..., P) = Vol(P).  Computed by inclusion-exclusion over subset
-    Minkowski sums; lower-dimensional sums contribute 0.
-    """
+    """Mixed volume of d polytopes in dimension d, normalized so that
+    V(P, ..., P) = Vol(P): the Cayley polytope's triangulated volume of
+    type (1, ..., 1), which a lower-dimensional Cayley polytope lacks."""
     polys = list(polys)
     if not polys:
         raise ValueError("mixed_volume: empty list")
@@ -393,21 +398,7 @@ def mixed_volume(polys) -> Fraction:
         raise ValueError("mixed_volume: need exactly dim polytopes")
     if any(p.ambient_dim != d for p in polys):
         raise ValueError("mixed_volume: ambient dimension mismatch")
-    total = 0
-    cache = {}
-    for size in range(1, d + 1):
-        sign = (-1) ** (d - size)
-        for subset in combinations(range(d), size):
-            key = tuple(sorted(polys[i].vertices for i in subset))
-            vol = cache.get(key)
-            if vol is None:
-                s = minkowski_sum_all([polys[i] for i in subset])
-                vol = s.normalized_volume() if s.is_full_dim else 0
-                cache[key] = vol
-            total += sign * vol
-    v = Fraction(total, math.factorial(d))
-    require(v >= 0, "mixed_volume: inclusion-exclusion total < 0")
-    return v
+    return Fraction(_norm_volume(cayley_polytope(polys), d).get((1,) * d, 0))
 
 
 def cayley_polytope(parts):
@@ -557,6 +548,7 @@ def nef_piece_points(nef, k, cuts=()):
     (e, c), each keeping only <x, e> >= c, narrow the piece the same way.
     Returns an iterator, so a caller with a size limit can stop early.
     """
+    k = _multidegree(k, nef.r)
     boxes = [_box(poly.vertices) for poly in nef.polytopes]
     lo = [sum(m * b[0][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]
     hi = [sum(m * b[1][j] for m, b in zip(k, boxes)) for j in range(nef.dim)]

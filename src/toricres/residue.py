@@ -18,16 +18,16 @@ against the strict inequalities of the cone over the Cayley polytope by a
 certificate on cuts: the full piece's cuts at k with the cone's strict cuts,
 each divided by the gcd of its normal and the tightest kept per normal, are
 the shifted piece's cuts, so both cut out the same points.  Where the cuts
-differ, the points are compared exactly instead.  The Cayley volume and the
-two interior level bases a residue functional needs depend on the nef
-partition alone; they are built once per NefPartition and kept on it.
+differ, the points are compared exactly instead.  The Cayley volume, split
+by simplex type into mixed volumes, and the two interior level bases a
+residue functional needs depend on the nef partition alone; they are built
+once per NefPartition and kept on it.
 
-The mixed volumes of Conjecture 3.10 are counted, not hulled: the lattice
-points of the full pieces are counted by a polynomial in the multidegree
-(McMullen), whose mixed forward differences at 0 are the mixed volumes.
-The largest counts, |j| = d and d - 1, are read off the two level bases of
-the setup, which hold those pieces at j + (1,...,1); only the smaller
-pieces are enumerated.
+Conjecture 3.10's mixed volumes are also counted, and must equal those: the
+lattice points of the full pieces are counted by a polynomial in the
+multidegree (McMullen), whose mixed forward differences at 0 are the mixed
+volumes.  The largest counts, |j| = d and d - 1, are read off the setup's
+two level bases, which hold those pieces at j + (1,...,1).
 """
 
 from __future__ import annotations
@@ -59,7 +59,12 @@ from .linalg import (
     require,
     solve_functional,
 )
-from .polytope import _piece_cuts, cayley_polytope, nef_piece_points
+from .polytope import (
+    _norm_volume,
+    _piece_cuts,
+    cayley_polytope,
+    nef_piece_points,
+)
 
 DEFAULT_MAX_BASIS = 50000
 DRAW_ATTEMPTS = 50
@@ -177,10 +182,10 @@ def interior_level_basis(nef, level, _cayley=None):
     return GradedPieceBasis(None, _guarded(mons))
 
 
-# What every residue functional of one nef partition shares: vol, the
-# normalized volume of the Cayley polytope; top and lower, the interior
-# level bases at total degree d+r and d+r-1.
-ResidueSetup = namedtuple("ResidueSetup", "vol top lower")
+# Shared by every residue functional of one nef partition: typed, the Cayley
+# polytope's volume by simplex type {a: MV(D_1^a_1, ...)}, and vol, its sum;
+# top and lower, the interior level bases at total degree d+r and d+r-1.
+ResidueSetup = namedtuple("ResidueSetup", "vol top lower typed")
 
 
 def residue_setup(nef):
@@ -188,11 +193,11 @@ def residue_setup(nef):
     so retried draws and further points pay for it once."""
     if nef.residue_setup is None:
         cay = cayley_polytope(nef.polytopes)
+        typed = _norm_volume(cay, nef.r)
         n = nef.dim + nef.r
         nef.residue_setup = ResidueSetup(
-            cay.normalized_volume(),
-            interior_level_basis(nef, n, _cayley=cay),
-            interior_level_basis(nef, n - 1, _cayley=cay))
+            sum(typed.values()), interior_level_basis(nef, n, _cayley=cay),
+            interior_level_basis(nef, n - 1, _cayley=cay), typed)
     return nef.residue_setup
 
 
@@ -362,7 +367,7 @@ def _mixed_volumes(nef):
     (-1)^(|a| - |j|) * prod C(a_i, j_i) * L(j).  The counts at |j| = d and
     d - 1 are those of the residue setup's top and lower bases, whose
     pieces sit at trailing block j + (1,...,1); each smaller piece is
-    enumerated once.
+    enumerated once.  Each must equal the setup's typed volume.
     """
     d, r = nef.dim, nef.r
     counts = dict.fromkeys(compositions(d, r) + compositions(d - 1, r), 0)
@@ -377,8 +382,9 @@ def _mixed_volumes(nef):
                 counts[j] = sum(1 for _ in nef_piece_points(nef, j))
             mv += ((-1) ** (d - sum(j)) * math.prod(map(math.comb, a, j))
                    * counts[j])
-        require(mv >= 0, f"mixed volume of the parts taken {a} times: the "
-                "forward difference of piece counts is negative")
+        tri = setup.typed.get(a, 0)
+        require(mv == tri, f"mixed volume of the parts taken {a} times: "
+                f"piece counts give {mv}, the Cayley triangulation {tri}")
         out[a] = Fraction(mv)
     return out
 
@@ -389,9 +395,9 @@ def check_mixed_volume_identity(fs, nef, rf=None):
     For every positive multidegree k at the top level, the residue of the
     k-component must equal the mixed volume of the parts taken with
     multiplicities k_i - 1, and the residues must sum to the Cayley volume.
-    The mixed volumes are counted from the full pieces (_mixed_volumes), the
-    largest of them read off the residue setup, so the sum row compares
-    lattice-point counts with the Cayley polytope's triangulated volume.
+    The mixed volumes are counted from the full pieces (_mixed_volumes) and
+    each checked against the Cayley triangulation's total of its type; the
+    sum row compares lattice-point counts with triangulated volume.
     rf is the system's residue functional when the caller has solved it
     already; one solved for another system, or on another top basis, is a
     ValueError.  Returns a report dict (CLI surface: `residue

@@ -20,6 +20,11 @@ natural order from exponent tuples, and reference_redundant_rows marks the
 rows a Koszul relation makes redundant by trying every candidate monomial,
 with none of the library's packed exponents or set intersections.
 
+reference_mixed_volume takes inclusion-exclusion over subset Minkowski sums,
+each hulled and measured with LatticePolytope, whose hulls and volumes are
+checked on their own against the shoelace and Ehrhart oracles; the library
+reads mixed volumes off one triangulation of the Cayley polytope instead.
+
 inv_factorial gives the product families' factorial forms, and in_y_chart
 takes a product series to the chart y = 27z of the bundled P3xP3 forms.
 """
@@ -31,6 +36,7 @@ from operator import add, sub
 
 from toricres.laurent import compositions
 from toricres.linalg import _sparse_row, det_int, dot, primitive
+from toricres.polytope import LatticePolytope
 from toricres.series import TruncatedSeries
 
 
@@ -195,6 +201,26 @@ def reference_piece_points(nef, k, extra=()):
     cuts = [(e, -m) for block, m in zip(nef.vertex_partition, k)
             for e in block] + list(extra)
     return box_scan(lo, hi, lambda x: all(dot(e, x) >= c for e, c in cuts))
+
+
+def reference_mixed_volume(polys):
+    """Mixed volume of d polytopes in dimension d by inclusion-exclusion:
+    the sum over nonempty subsets S of (-1)^(d - |S|) times the normalized
+    volume of the Minkowski sum over S, divided by d!.  Each sum is hulled
+    with LatticePolytope, one summand at a time; a lower-dimensional sum
+    contributes 0."""
+    d = len(polys)
+    total = 0
+    for size in range(1, d + 1):
+        for subset in combinations(polys, size):
+            acc = subset[0]
+            for q in subset[1:]:
+                acc = LatticePolytope([tuple(map(add, p, v))
+                                       for p in acc.vertices
+                                       for v in q.vertices])
+            if acc.is_full_dim:
+                total += (-1) ** (d - size) * acc.normalized_volume()
+    return Fraction(total, math.factorial(d))
 
 
 def cofactor_nullvector(rows, n):

@@ -26,7 +26,7 @@ from toricres.mirror import (
     wps_closed_form,
     wps_intersection_series,
 )
-from toricres.polytope import check_nef_partition
+from toricres.polytope import check_nef_partition, nef_piece_points
 from toricres.residue import (
     graded_basis,
     interior_basis,
@@ -71,6 +71,8 @@ MULTIDEGREE_ENTRY_POINTS = [
     ("graded_basis", lambda k: graded_basis(PENTAGON, k),
      "multidegree", (1, 1), False),
     ("interior_basis", lambda k: interior_basis(PENTAGON, k),
+     "multidegree", (1, 1), False),
+    ("nef_piece_points", lambda k: list(nef_piece_points(PENTAGON, k)),
      "multidegree", (1, 1), False),
     ("mixed_residue",
      lambda k: mixed_residue(pentagon_functional(),

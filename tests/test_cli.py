@@ -733,8 +733,9 @@ real = residue.cayley_polytope
 
 def broken(parts):
     cay = real(parts)
-    return SimpleNamespace(facets=[(n, c - 1) for n, c in cay.facets],
-                           normalized_volume=cay.normalized_volume)
+    fake = {s: getattr(cay, s) for s in cay.__slots__}
+    fake["facets"] = [(n, c - 1) for n, c in cay.facets]
+    return SimpleNamespace(**fake)
 
 
 residue.cayley_polytope = broken
@@ -764,3 +765,35 @@ def test_failed_check_exits_2_under_optimize(tmp_path):
     assert [(c["name"], c["exit"], c["pass"]) for c in report["cases"]] == [
         ("broken", 2, False), ("check", 0, True)]
     assert "check failed: interior piece at multidegree" in proc.stderr
+
+
+# Adds 1 to the Cayley triangulation's (1, 1) total on the residue setup,
+# so the identity's counted mixed volume no longer matches it.
+SKEWED_TYPED_VOLUME = """
+import sys
+from toricres import cli, residue
+assert False
+real = residue.residue_setup
+
+
+def skewed(nef):
+    setup = real(nef)
+    typed = dict(setup.typed)
+    typed[(1, 1)] += 1
+    return setup._replace(typed=typed)
+
+
+residue.residue_setup = skewed
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_counted_mixed_volume_checked_against_triangulation():
+    proc = run_optimized("-c", SKEWED_TYPED_VOLUME, "residue", "conjecture310",
+                         "--nefpart", fx("p2split.json"),
+                         "--coeffs", fx("a.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "check failed: mixed volume of the parts taken (1, 1) times: "
+        "piece counts give 2, the Cayley triangulation 3\n")

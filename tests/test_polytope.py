@@ -14,6 +14,7 @@ from reference import (
     rank,
     reference_halfspace_vertices,
     reference_lattice_points,
+    reference_mixed_volume,
     reference_piece_points,
     solve_linear,
 )
@@ -635,6 +636,56 @@ def test_mixed_volume_symmetry_and_multiset():
         perm = polys[:]
         rng.shuffle(perm)
         assert mixed_volume(perm) == base
+
+
+def test_mixed_volume_builds_only_the_cayley_hull(monkeypatch):
+    polys = [
+        LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        LatticePolytope([(0, 0, 0), (1, 1, 0), (0, 1, 1)]),
+        LatticePolytope([(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 0, 1)]),
+    ]
+    calls = []
+    hull = polytope._hull_description
+    monkeypatch.setattr(polytope, "_hull_description",
+                        lambda *a: calls.append(a) or hull(*a))
+    value = mixed_volume(polys)
+    assert [d for _, d in calls] == [6]  # the Cayley polytope, in Z^(3+3)
+    assert value == reference_mixed_volume(polys) > 0
+
+
+def seeded_mixed_volume_tuples(seed, count):
+    """count tuples of d polytopes in dimension d = 1..4, each hulled from
+    1 or d to d + 2 random points, so single points and flat polytopes sit
+    next to full ones; some tuples lie in the hyperplane x_1 = 0, so every
+    sum is lower-dimensional, and some repeat a polytope."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        d = trial % 4 + 1
+        flat = rng.random() < 0.2
+        polys = []
+        for _ in range(d):
+            if polys and rng.random() < 0.25:
+                polys.append(rng.choice(polys))
+                continue
+            size = 1 if rng.random() < 0.05 else rng.randint(d, d + 2)
+            pts = [tuple(0 if flat and j == 0 else rng.randint(-2, 2)
+                         for j in range(d)) for _ in range(size)]
+            polys.append(LatticePolytope(pts))
+        yield polys
+
+
+def test_mixed_volume_matches_inclusion_exclusion_reference():
+    tuples = list(seeded_mixed_volume_tuples(31, 60))
+    got = [mixed_volume(polys) for polys in tuples]
+    assert got == [reference_mixed_volume(polys) for polys in tuples]
+    # the draw reaches every dimension, points, flat sums and repeats
+    assert {len(polys) for polys in tuples} == {1, 2, 3, 4}
+    assert any(len(p.vertices) == 1 for polys in tuples for p in polys)
+    assert any(len(set(polys)) < len(polys) for polys in tuples)
+    assert any(not minkowski_sum_all(polys).is_full_dim
+               and min(len(p.vertices) for p in polys) > 1
+               for polys in tuples)
+    assert sum(v == 0 for v in got) >= 5 and sum(v > 0 for v in got) >= 30
 
 
 def test_mixed_volume_shape_errors():
