@@ -290,6 +290,20 @@ def solve_functional(span, target, normalization):
     when the annihilator of the span is not one-dimensional, or when no
     scaling of it meets the normalization (including normalization 0, which
     never pins the scale).
+    """
+    target = [_coef(x, "target entry") for x in target]
+    n = len(target)
+    rows = [row if type(row) is dict and all(
+        type(x) is int and 0 <= c < n for c, x in row.items())
+        else _integer_row(row, n) for row in span]
+    return _solve_functional(rows, target,
+                             _coef(normalization, "normalization"))
+
+
+def _solve_functional(rows, target, normalization):
+    """solve_functional on checked input, taken as it is: rows are
+    {column: int} dicts over range(len(target)), target entries and the
+    normalization ints or Fractions.
 
     Rows and target are scaled to integers and eliminated modulo the fixed
     primes, one at a time.  Rank n mod p proves the annihilator is 0; at
@@ -305,14 +319,10 @@ def solve_functional(span, target, normalization):
     one that agrees is combined with it by CRT.  When every prime fails the
     check, AssertionError names the identity that broke.
     """
-    target = [_coef(x, "target entry") for x in target]
     n = len(target)
-    rows = [row if type(row) is dict and all(
-        type(x) is int and 0 <= c < n for c, x in row.items())
-        else _integer_row(row, n) for row in span]
     scale = math.lcm(*(x.denominator for x in target))
     target = [x.numerator * (scale // x.denominator) for x in target]
-    want = _coef(normalization, "normalization") * scale
+    want = normalization * scale
     if want == 0:
         return NOT_UNIQUE
     best, broken, verdict = None, _NO_RECON, None

@@ -11,10 +11,10 @@ first, solving the residue functional of every coefficient point.  Only
 then does the family kind supply its closed-form spec, its termwise
 series and, for weighted families only, rows comparing the closed form
 with the residue pairing at those points.  One loop over the exponents
-up to the order compares the termwise series with the expanded closed
-form, whatever the number of series variables.  The termwise
-coefficients never go through the closed form's expansion, and the
-residue pairing never reads either series.
+up to the order, in the series module's shared layout, compares the
+termwise series with the expanded closed form, whatever the number of
+series variables.  The termwise coefficients never go through the closed
+form's expansion, and the residue pairing never reads either series.
 
 Curve classes are enumerated over the nonnegative orthant (a single ray in
 the weighted case), and coefficients whose extraction window is empty are
@@ -35,7 +35,6 @@ from .laurent import (
     _check_polynomial,
     _group_degrees,
     _total_degree,
-    compositions,
 )
 from .linalg import (
     _coef,
@@ -56,6 +55,7 @@ from .series import (
     RationalFunctionSpec,
     TruncatedSeries,
     _factorials,
+    _layout,
     _linear_form_kernel,
     _linear_form_plan,
     expand_rational,
@@ -313,15 +313,14 @@ def product_intersection_series(fam, k, order):
     # that the kernel needs; a negative target entry gives 0
     fact = _factorials(max(map(max, columns)) * order + 1)
     coeffs = {}
-    for t in range(order + 1):
-        for beta in compositions(t, fam.p):
-            target = tuple(map(add, map(mul, ns, beta), base))
-            if min(target) < 0:
-                continue
-            powers = [sum(map(mul, col, beta)) + 1 for col in columns]
-            raw = _linear_form_kernel(plan, powers, target, fact)
-            if raw:
-                coeffs[beta] = Fraction(raw)
+    for beta in _layout(fam.p, order).values():
+        target = tuple(map(add, map(mul, ns, beta), base))
+        if min(target) < 0:
+            continue
+        powers = [sum(map(mul, col, beta)) + 1 for col in columns]
+        raw = _linear_form_kernel(plan, powers, target, fact)
+        if raw:
+            coeffs[beta] = Fraction(raw)
     return TruncatedSeries._exact(fam.p, order, coeffs)
 
 
@@ -485,12 +484,11 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     expanded = expand_rational(spec, order)
     rows = []
     zero = Fraction(0)
-    for total in range(order + 1):
-        for e in compositions(total, spec.nvars):
-            lhs = termwise.coeffs.get(e, zero)
-            rhs = expanded.coeffs.get(e, zero)
-            rows.append({"exponent": e, "termwise": lhs,
-                         "closed_form": rhs, "equal": lhs == rhs})
+    for e in _layout(spec.nvars, order).values():
+        lhs = termwise.coeffs.get(e, zero)
+        rhs = expanded.coeffs.get(e, zero)
+        rows.append({"exponent": e, "termwise": lhs,
+                     "closed_form": rhs, "equal": lhs == rhs})
     mismatches = [r for r in rows if not r["equal"]]
     return {"mode": mode, "order": order, "rows": rows, "points": point_rows,
             "ok": not mismatches and all(r["equal"] for r in point_rows),

@@ -55,9 +55,9 @@ from .linalg import (
     _coef,
     _int,
     _multidegree,
+    _solve_functional,
     dot,
     require,
-    solve_functional,
 )
 from .polytope import (
     _norm_volume,
@@ -334,7 +334,9 @@ def residue_functional(fs, nef):
     span = _span_rows(F, setup.lower.monomials, top)
     hess = _as_row(hessian_by_subsets(F).terms.items(), top)
     target = [hess.get(i, 0) for i in range(len(top))]
-    lam = solve_functional(span, target, vol)
+    # _span_rows' rows are in-range int dicts: solve_functional's row check
+    # would pass every one
+    lam = _solve_functional(span, target, vol)
     if lam is NOT_UNIQUE:
         return ResidueFunctional(top, None, vol, False, fs)
     return ResidueFunctional(top, tuple(lam), vol, True, fs)

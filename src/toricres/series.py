@@ -19,6 +19,11 @@ carry, and the key order is the degree order.  Before it is returned, Q
 is multiplied by each F_i'(cy) in turn, in integers, and must give
 c * N'(cy): a mandatory residual check that shares nothing with the
 recurrence but the input, so a wrong expansion cannot escape this module.
+Each key's exponent is read off one shared layout per (nvars, order), the
+packed key -> exponent table that also lists the exponents for the product
+series and verify_family's rows; a small bounded cache keeps the last few.
+When c = 1 and L = 1, as for every bundled closed form, each q_e is the
+integer (prod M_i^m_i) * Q_e and its Fraction is built with no gcd.
 
 A coefficient of a product of powers of linear forms is taken termwise by
 one integer kernel, following a plan of the forms that a caller builds
@@ -34,9 +39,11 @@ or Fractions; a float is refused with a TypeError naming the argument.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 
 from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, _order, require
@@ -187,6 +194,23 @@ class RationalFunctionSpec:
         return result
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(nvars, order):
+    """Read-only map from packed key (see the module docstring) to exponent
+    tuple, over every exponent in nvars variables of total degree <= order,
+    by degree and then in the lex order compositions lists each degree in,
+    which is the order of the keys.  Shared by every expansion and
+    coefficient loop of that shape; each table is the size of one full
+    series of it."""
+    base = order + 1
+    rows = [(0, 0, ())]  # (entries as digits, their sum, exponent)
+    for _ in range(nvars):
+        rows = [(digits * base + x, total + x, e + (x,))
+                for digits, total, e in rows for x in range(base - total)]
+    return MappingProxyType(dict(sorted(
+        (total * base ** nvars + digits, e) for digits, total, e in rows)))
+
+
 def _integral(poly, base, order):
     """(P, L) with poly = P / L: L is the least common denominator of
     poly's coefficients and P the integer map of L * poly, keyed by packed
@@ -277,13 +301,14 @@ def expand_rational(spec, order):
             check = _truncated_product(check, scaled, limit)
     require(check == {k: n * cpow[k // unit + 1] for k, n in num.items()},
             "expand_rational: expansion * denominator != numerator")
-    coeffs = {}
-    for key, v in q.items():
-        e = [0] * nvars
-        for i in range(nvars - 1, -1, -1):
-            key, e[i] = divmod(key, base)
-        coeffs[tuple(e)] = Fraction(scale_num * v,
-                                    scale_den * cpow[key + 1])
+    layout = _layout(nvars, order)
+    if c == 1 and scale_den == 1:
+        coeffs = {layout[key]: Fraction(scale_num * v)
+                  for key, v in q.items()}
+    else:
+        coeffs = {layout[key]: Fraction(scale_num * v,
+                                        scale_den * cpow[key // unit + 1])
+                  for key, v in q.items()}
     return TruncatedSeries._exact(nvars, order, coeffs)
 
 

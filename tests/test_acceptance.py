@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: twenty-one timed criteria, exact equality only.
+"""End-to-end acceptance gate: twenty-two timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -603,3 +603,23 @@ def test_criterion_22_p3xp3_elimination_skips_the_koszul_rows(monkeypatch):
         assert len(consumed) == 1 and consumed[0] <= 8100
 
     _run(22, 1.0, body)
+
+
+def test_criterion_23_series_read_one_layout_per_shape():
+    series._layout.cache_clear()
+
+    def body():
+        # criterion 11's product checks (termwise series, expansion and
+        # rows) all read the exponent layout of shape (2, 24); the eight
+        # fixture expansions of the P3xP3 and P4xP1 forms at order 40, the
+        # yukawa benchmark's, read that of (2, 40): two layouts built
+        for fam in (P3XP3, P4XP1):
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                assert verify_family(fam, 24, k=k)["ok"]
+        for name in ("P3xP3", "P4xP1"):
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+                s = expand_rational(yukawa_fixture(name, k), 40)
+                assert s.order == 40 and s.coeffs
+        assert series._layout.cache_info().misses == 2
+
+    _run(23, 0.5, body)

@@ -398,13 +398,13 @@ def test_each_point_solves_its_functional_once(capsys, monkeypatch):
     # the seeded draws below are regular at the first attempt, so every
     # solve belongs to a point that is then checked
     calls = []
-    solve = residue.solve_functional
+    solve = residue._solve_functional
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(residue, "solve_functional", counted)
+    monkeypatch.setattr(residue, "_solve_functional", counted)
     code, report, _ = run(capsys, "verify", "trmc",
                           "--family", fx("p2split.json"),
                           "--poly", fx("x1x2.json"), "--order", "4")

@@ -33,7 +33,7 @@ from toricres.laurent import (
     monomial,
     positive_compositions,
 )
-from toricres.linalg import NOT_UNIQUE, solve_functional
+from toricres.linalg import NOT_UNIQUE, _solve_functional, solve_functional
 from toricres.mirror import WpsFamily, wps_nef_partition
 from toricres.polytope import (
     LatticePolytope,
@@ -654,10 +654,10 @@ def test_setup_is_built_once_per_nef_partition(monkeypatch):
         solves.append(len(span))
         if len(solves) <= 3:
             return residue.NOT_UNIQUE
-        return solve_functional(span, target, vol)
+        return _solve_functional(span, target, vol)
 
     monkeypatch.setattr(residue, "interior_level_basis", counting)
-    monkeypatch.setattr(residue, "solve_functional", failing_thrice)
+    monkeypatch.setattr(residue, "_solve_functional", failing_thrice)
     nef = pentagon_family()
     _, fs, rf = draw_regular_coefficients(nef, random.Random(3))
     assert rf.regular and len(solves) == 4

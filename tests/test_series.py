@@ -12,8 +12,9 @@ from reference import (
     reference_expand_rational,
     reference_linear_form_coefficient,
 )
-from toricres.laurent import LaurentPolynomial
+from toricres.laurent import LaurentPolynomial, compositions
 from toricres.mirror import (
+    P3XP3,
     P4XP1,
     WpsFamily,
     verify_family,
@@ -25,6 +26,7 @@ from toricres.residue import graded_basis, system_from_coefficients
 from toricres.series import (
     RationalFunctionSpec,
     TruncatedSeries,
+    _layout,
     _linear_form_plan,
     expand_rational,
     linear_form_power_coefficient,
@@ -232,18 +234,20 @@ def test_expansion_times_denominator_recovers_numerator():
         assert back == TruncatedSeries(2, order, num)
 
 
-def random_spec(rng, nvars):
+def random_spec(rng, nvars, integral=False):
     """A seeded spec: rational numerator and factor coefficients, constant
-    terms +-1, 2, -5 or p/q, multiplicities 1 to 3."""
+    terms +-1, 2, -5 or p/q, multiplicities 1 to 3; when integral, every
+    coefficient an int and every constant term +-1."""
     def coef():
-        if rng.random() < 0.3:
+        if not integral and rng.random() < 0.3:
             return Fraction(rng.randint(-5, 5), rng.randint(2, 6))
         return rng.randint(-4, 4)
 
     def exponent(top):
         return tuple(rng.randint(0, top) for _ in range(nvars))
 
-    consts = [1, -1, 2, -5, Fraction(3, 4), Fraction(-2, 7)]
+    consts = ([1, -1] if integral
+              else [1, -1, 2, -5, Fraction(3, 4), Fraction(-2, 7)])
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     num = {exponent(2): coef() for _ in range(rng.randint(1, 3))}
     factors = []
@@ -255,18 +259,36 @@ def random_spec(rng, nvars):
     return RationalFunctionSpec(nvars, num, factors)
 
 
-def test_expand_rational_matches_division_reference():
+def test_expand_rational_matches_division_reference(monkeypatch):
+    # 150 specs as drawn, then 80 integral ones.  A spec with c = D(0) = 1
+    # and an integer numerator takes the integer shortcut, one argument per
+    # Fraction; any other builds each Fraction from a numerator and a
+    # denominator.  Both ways must meet the reference often.
     rng = random.Random(5)
     nonzero = 0
-    for case in range(150):
+    paths = {1: 0, 2: 0}
+    new = Fraction.__new__
+    for case in range(230):
         nvars = 1 + case % 3
-        spec = random_spec(rng, nvars)
+        spec = random_spec(rng, nvars, integral=case >= 150)
         order = rng.randint(0, 8)
+        arities = set()
+
+        def counting_new(cls, *args, **kwargs):
+            arities.add(len(args))
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
         got = expand_rational(spec, order)
+        monkeypatch.undo()
         assert got == reference_expand_rational(spec, order)
         assert all(type(c) is Fraction for c in got.coeffs.values())
         nonzero += len(got.coeffs)
+        if arities:
+            (arity,) = arities
+            paths[arity] += 1
     assert nonzero > 1200
+    assert paths[1] >= 30 and paths[2] >= 30, paths
 
 
 def test_expand_rational_matches_reference_on_fixtures():
@@ -297,6 +319,36 @@ def test_expand_rational_builds_one_fraction_per_coefficient(monkeypatch):
     assert len(got.coeffs) > 100
     assert len(made) == len(got.coeffs)
     assert got == reference_expand_rational(spec, 20)
+
+
+def test_layout_lists_packed_exponents_in_composition_order():
+    for nvars in range(1, 5):
+        for order in range(7):
+            want = [e for total in range(order + 1)
+                    for e in compositions(total, nvars)]
+            keys = []
+            for e in want:
+                key = sum(e)
+                for x in e:
+                    key = key * (order + 1) + x
+                keys.append(key)
+            layout = _layout(nvars, order)
+            assert list(layout.values()) == want
+            assert list(layout) == keys
+    with pytest.raises(TypeError):
+        _layout(2, 3)[0] = (0, 0)
+
+
+def test_layout_is_built_once_per_shape():
+    maxsize = _layout.cache_info().maxsize
+    assert type(maxsize) is int and maxsize >= 1
+    # both product families have two series variables: one shape (2, 24)
+    # for the termwise series, the expansion and the rows of all eight
+    _layout.cache_clear()
+    for fam in (P3XP3, P4XP1):
+        for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
+            assert verify_family(fam, 24, k=k)["ok"]
+    assert _layout.cache_info().misses == 1
 
 
 # Stubs the product denominator that the recurrence divides by so that it
