@@ -313,7 +313,7 @@ def product_intersection_series(fam, k, order):
     # that the kernel needs; a negative target entry gives 0
     fact = _factorials(max(map(max, columns)) * order + 1)
     coeffs = {}
-    for beta in _layout(fam.p, order).values():
+    for beta in _layout(fam.p, order):
         target = tuple(map(add, map(mul, ns, beta), base))
         if min(target) < 0:
             continue
@@ -484,7 +484,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     expanded = expand_rational(spec, order)
     rows = []
     zero = Fraction(0)
-    for e in _layout(spec.nvars, order).values():
+    for e in _layout(spec.nvars, order):
         lhs = termwise.coeffs.get(e, zero)
         rhs = expanded.coeffs.get(e, zero)
         rows.append({"exponent": e, "termwise": lhs,

@@ -19,9 +19,8 @@ carry, and the key order is the degree order.  Before it is returned, Q
 is multiplied by each F_i'(cy) in turn, in integers, and must give
 c * N'(cy): a mandatory residual check that shares nothing with the
 recurrence but the input, so a wrong expansion cannot escape this module.
-Each key's exponent is read off one shared layout per (nvars, order), the
-packed key -> exponent table that also lists the exponents for the product
-series and verify_family's rows; a small bounded cache keeps the last few.
+Each exponent of q is decoded from its own key, one digit column at a
+time, so a sparse expansion decodes only the terms it has.
 When c = 1 and L = 1, as for every bundled closed form, each q_e is the
 integer (prod M_i^m_i) * Q_e and its Fraction is built with no gcd.
 
@@ -32,6 +31,9 @@ form with a single nonzero entry contributes its one term, and every
 other power is expanded by multinomials only over the variables where its
 form is nonzero.
 This route shares nothing with the closed forms or their expansion.
+The loops that read every exponent of a shape, the product termwise
+series and verify_family's rows, share one layout of them per (nvars,
+order), in degree and then lex order, in a cache bounded at 8 shapes.
 
 Orders, exponents and multiplicities must be ints, and coefficients ints
 or Fractions; a float is refused with a TypeError naming the argument.
@@ -43,7 +45,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from types import MappingProxyType
 
 from .laurent import LaurentPolynomial, compositions
 from .linalg import _coef, _int, _order, require
@@ -196,19 +197,17 @@ class RationalFunctionSpec:
 
 @functools.lru_cache(maxsize=8)
 def _layout(nvars, order):
-    """Read-only map from packed key (see the module docstring) to exponent
-    tuple, over every exponent in nvars variables of total degree <= order,
-    by degree and then in the lex order compositions lists each degree in,
-    which is the order of the keys.  Shared by every expansion and
-    coefficient loop of that shape; each table is the size of one full
-    series of it."""
-    base = order + 1
-    rows = [(0, 0, ())]  # (entries as digits, their sum, exponent)
+    """Every exponent in nvars variables of total degree <= order, by
+    degree and then in the lex order compositions lists each degree in, as
+    a tuple shared by the loops that read every exponent of that shape:
+    the product termwise series and verify_family's rows.  Each table holds
+    C(order + nvars, nvars) tuples, as many as a full series of the shape,
+    which is why expand_rational decodes its own keys instead."""
+    rows = [(0, ())]  # (degree, exponent)
     for _ in range(nvars):
-        rows = [(digits * base + x, total + x, e + (x,))
-                for digits, total, e in rows for x in range(base - total)]
-    return MappingProxyType(dict(sorted(
-        (total * base ** nvars + digits, e) for digits, total, e in rows)))
+        rows = [(t + x, e + (x,))
+                for t, e in rows for x in range(order + 1 - t)]
+    return tuple(e for _, e in sorted(rows))
 
 
 def _integral(poly, base, order):
@@ -301,14 +300,16 @@ def expand_rational(spec, order):
             check = _truncated_product(check, scaled, limit)
     require(check == {k: n * cpow[k // unit + 1] for k, n in num.items()},
             "expand_rational: expansion * denominator != numerator")
-    layout = _layout(nvars, order)
+    # q's own exponents, decoded one digit column at a time
+    keys = list(q)
+    places = [base ** i for i in range(nvars - 1, -1, -1)]
+    exponents = zip(*[[key // p % base for key in keys] for p in places])
     if c == 1 and scale_den == 1:
-        coeffs = {layout[key]: Fraction(scale_num * v)
-                  for key, v in q.items()}
+        coeffs = {e: Fraction(scale_num * v)
+                  for e, v in zip(exponents, q.values())}
     else:
-        coeffs = {layout[key]: Fraction(scale_num * v,
-                                        scale_den * cpow[key // unit + 1])
-                  for key, v in q.items()}
+        coeffs = {e: Fraction(scale_num * v, scale_den * cpow[key // unit + 1])
+                  for e, key, v in zip(exponents, keys, q.values())}
     return TruncatedSeries._exact(nvars, order, coeffs)
 
 

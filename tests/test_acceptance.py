@@ -606,20 +606,24 @@ def test_criterion_22_p3xp3_elimination_skips_the_koszul_rows(monkeypatch):
 
 
 def test_criterion_23_series_read_one_layout_per_shape():
+    maxsize = series._layout.cache_info().maxsize
+    assert type(maxsize) is int and maxsize >= 1
     series._layout.cache_clear()
 
     def body():
-        # criterion 11's product checks (termwise series, expansion and
-        # rows) all read the exponent layout of shape (2, 24); the eight
-        # fixture expansions of the P3xP3 and P4xP1 forms at order 40, the
-        # yukawa benchmark's, read that of (2, 40): two layouts built
+        # criterion 11's product checks (termwise series and rows) all read
+        # the exponent layout of shape (2, 24); the eight termwise series at
+        # order 40, taken to the chart of the yukawa benchmark's fixtures,
+        # read that of (2, 40); the expansions decode their own exponents:
+        # two layouts built
         for fam in (P3XP3, P4XP1):
             for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
                 assert verify_family(fam, 24, k=k)["ok"]
-        for name in ("P3xP3", "P4xP1"):
+        for fam, name, scale in ((P3XP3, "P3xP3", 27), (P4XP1, "P4xP1", 1)):
             for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
-                s = expand_rational(yukawa_fixture(name, k), 40)
-                assert s.order == 40 and s.coeffs
+                got = in_y_chart(product_intersection_series(fam, k, 40),
+                                 scale)
+                assert got == expand_rational(yukawa_fixture(name, k), 40)
         assert series._layout.cache_info().misses == 2
 
     _run(23, 0.5, body)

@@ -14,7 +14,6 @@ from reference import (
 )
 from toricres.laurent import LaurentPolynomial, compositions
 from toricres.mirror import (
-    P3XP3,
     P4XP1,
     WpsFamily,
     verify_family,
@@ -321,34 +320,25 @@ def test_expand_rational_builds_one_fraction_per_coefficient(monkeypatch):
     assert got == reference_expand_rational(spec, 20)
 
 
-def test_layout_lists_packed_exponents_in_composition_order():
+def test_layout_lists_exponents_in_composition_order():
     for nvars in range(1, 5):
         for order in range(7):
-            want = [e for total in range(order + 1)
-                    for e in compositions(total, nvars)]
-            keys = []
-            for e in want:
-                key = sum(e)
-                for x in e:
-                    key = key * (order + 1) + x
-                keys.append(key)
-            layout = _layout(nvars, order)
-            assert list(layout.values()) == want
-            assert list(layout) == keys
+            assert _layout(nvars, order) == tuple(
+                e for total in range(order + 1)
+                for e in compositions(total, nvars))
     with pytest.raises(TypeError):
         _layout(2, 3)[0] = (0, 0)
 
 
-def test_layout_is_built_once_per_shape():
-    maxsize = _layout.cache_info().maxsize
-    assert type(maxsize) is int and maxsize >= 1
-    # both product families have two series variables: one shape (2, 24)
-    # for the termwise series, the expansion and the rows of all eight
-    _layout.cache_clear()
-    for fam in (P3XP3, P4XP1):
-        for k in ((3, 0), (2, 1), (1, 2), (0, 3)):
-            assert verify_family(fam, 24, k=k)["ok"]
-    assert _layout.cache_info().misses == 1
+def test_expand_rational_decodes_only_its_own_exponents():
+    # 1 / (1 - x1 x2 x3 x4) to order 40 has 11 terms among the 135751
+    # exponents of that shape; the expansion lists no layout
+    one = (0, 0, 0, 0)
+    spec = RationalFunctionSpec(4, {one: 1}, [({one: 1, (1, 1, 1, 1): -1}, 1)])
+    misses = _layout.cache_info().misses
+    got = expand_rational(spec, 40)
+    assert _layout.cache_info().misses == misses
+    assert got.coeffs == {(t, t, t, t): 1 for t in range(11)}
 
 
 # Stubs the product denominator that the recurrence divides by so that it
