@@ -25,6 +25,7 @@ induced on the affine hull (ambient lattice intersected with the hull).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .linalg import (
@@ -446,7 +447,9 @@ class NefPartition:
     normals of delta, and vertex_partition the induced split of those
     normals: e belongs to part i exactly when min_{Delta_i} <., e> = -1.
     residue_setup is None until residue.residue_setup builds, on first use,
-    what every residue functional of this partition shares.
+    what every residue functional of this partition shares.  Build one
+    through check_nef_partition, which hands every caller naming the same
+    partition the same object, and with it the same residue setup.
     """
 
     __slots__ = ("dim", "parts", "polytopes", "delta", "dual_vertices",
@@ -480,7 +483,13 @@ def check_nef_partition(parts, dim=None):
     """Validate a decomposition and return the NefPartition.
 
     parts: one list of nonzero lattice points per summand.  Raises
-    NefPartitionError naming the first failing condition.
+    NefPartitionError naming the first failing condition.  Each part is
+    read as its sorted, deduplicated points, with the parts in their given
+    order; the process keeps the last partition built, so every call that
+    names it again, however its points are spelled, returns the same
+    object.  Only the cheap checks run on every call; the hulls, the
+    reflexivity check and the dual-vertex assignment run once.  A failing
+    call keeps nothing.
     """
     cleaned = []
     for i, part in enumerate(parts):
@@ -503,8 +512,18 @@ def check_nef_partition(parts, dim=None):
                 raise NefPartitionError(
                     f"point {p} appears in parts {seen[p]} and {i}")
             seen[p] = i
+    return _nef_partition(tuple(cleaned), d)
+
+
+# One partition: the calls that share one come in a row (a manifest's cases
+# on it, a family file and its weighted family), and a kept residue setup
+# can be large (81 MiB for P^7's).
+@functools.lru_cache(maxsize=1)
+def _nef_partition(parts, d):
+    """The NefPartition of cleaned parts in dimension d: hulls, the
+    reflexivity check and the dual-vertex assignment."""
     origin = (0,) * d
-    polytopes = tuple(LatticePolytope([origin, *part]) for part in cleaned)
+    polytopes = tuple(LatticePolytope([origin, *part]) for part in parts)
     delta = minkowski_sum_all(polytopes)
     if not delta.is_full_dim:
         raise NefPartitionError("Minkowski sum is not full-dimensional")
@@ -528,11 +547,11 @@ def check_nef_partition(parts, dim=None):
         assignment.append(owners[0])
     vertex_partition = tuple(
         tuple(e for e, o in zip(dual_verts, assignment) if o == i)
-        for i in range(len(cleaned)))
+        for i in range(len(parts)))
     if any(not b for b in vertex_partition):
         # cannot happen for a genuine decomposition, but keep the report exact
         raise NefPartitionError("a part claims no dual vertex")
-    return NefPartition(d, tuple(cleaned), polytopes, delta, dual_verts,
+    return NefPartition(d, parts, polytopes, delta, dual_verts,
                         vertex_partition)
 
 

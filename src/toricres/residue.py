@@ -21,7 +21,9 @@ the shifted piece's cuts, so both cut out the same points.  Where the cuts
 differ, the points are compared exactly instead.  The Cayley volume, split
 by simplex type into mixed volumes, and the two interior level bases a
 residue functional needs depend on the nef partition alone; they are built
-once per NefPartition and kept on it.
+once per NefPartition and kept on it, and check_nef_partition hands every
+caller naming one partition the same NefPartition, so cases on one
+partition share them.
 
 Conjecture 3.10's mixed volumes are also counted, and must equal those: the
 lattice points of the full pieces are counted by a polynomial in the
@@ -98,18 +100,26 @@ class GradedPieceBasis:
                 f"size={len(self.monomials)})")
 
 
-def _guarded(points):
-    """List the points, refusing once there are more than TORIC_MAX_BASIS."""
+def _basis_limit():
+    """TORIC_MAX_BASIS as read now: the most monomials a basis may hold."""
     raw = os.environ.get("TORIC_MAX_BASIS", str(DEFAULT_MAX_BASIS))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(
             f"TORIC_MAX_BASIS must be a positive integer, not {raw!r}")
-    limit = int(raw)
+    return int(raw)
+
+
+def _too_large(limit):
+    return ValueError(f"graded piece needs more than {limit} monomials; "
+                      "set TORIC_MAX_BASIS to override")
+
+
+def _guarded(points):
+    """List the points, refusing once there are more than TORIC_MAX_BASIS."""
+    limit = _basis_limit()
     out = list(islice(points, limit + 1))
     if len(out) > limit:
-        raise ValueError(
-            f"graded piece needs more than {limit} monomials; "
-            "set TORIC_MAX_BASIS to override")
+        raise _too_large(limit)
     return out
 
 
@@ -190,7 +200,13 @@ ResidueSetup = namedtuple("ResidueSetup", "vol top lower typed")
 
 def residue_setup(nef):
     """The nef partition's ResidueSetup, built on first use and kept on it,
-    so retried draws and further points pay for it once."""
+    so retried draws, further points and later cases on the same partition
+    pay for it once.
+
+    TORIC_MAX_BASIS is read on every call: a kept setup whose larger level
+    basis holds more monomials than the current limit is refused as its
+    build would be, each interior piece being a part of its level basis.
+    """
     if nef.residue_setup is None:
         cay = cayley_polytope(nef.polytopes)
         typed = _norm_volume(cay, nef.r)
@@ -198,7 +214,11 @@ def residue_setup(nef):
         nef.residue_setup = ResidueSetup(
             sum(typed.values()), interior_level_basis(nef, n, _cayley=cay),
             interior_level_basis(nef, n - 1, _cayley=cay), typed)
-    return nef.residue_setup
+    setup = nef.residue_setup
+    limit = _basis_limit()
+    if max(len(setup.top), len(setup.lower)) > limit:
+        raise _too_large(limit)
+    return setup
 
 
 class ResidueFunctional:

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: twenty-two timed criteria, exact equality only.
+"""End-to-end acceptance gate: twenty-three timed criteria, exact equality only.
 
 Every comparison is exact rational equality (tolerance 0).  Each criterion
 prints one PASS/FAIL line with its runtime; run with `-s` to see them all:
@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from reference import in_y_chart, inv_factorial
-from toricres import cli, linalg, residue, series
+from toricres import cli, linalg, polytope, residue, series
 from toricres.cli import main as cli_main
 from toricres.laurent import (
     LaurentPolynomial,
@@ -627,3 +627,32 @@ def test_criterion_23_series_read_one_layout_per_shape():
         assert series._layout.cache_info().misses == 2
 
     _run(23, 0.5, body)
+
+
+def test_criterion_24_suite_builds_each_partition_once(monkeypatch):
+    assert polytope._nef_partition.cache_info().maxsize == 1
+    polytope._nef_partition.cache_clear()
+    built = []
+    real = residue.interior_level_basis
+
+    def counting(nef, level, _cayley=None):
+        built.append(level)
+        return real(nef, level, _cayley=_cayley)
+
+    monkeypatch.setattr(residue, "interior_level_basis", counting)
+
+    def body():
+        # the shipping manifest names two partitions, the pentagon's in six
+        # calls and the quintic's in one: each is built once, and the
+        # pentagon's three residue cases share one setup of two level bases
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["suite", "--manifest",
+                             os.path.join(FIX, "manifest.json")])
+        assert code == 0
+        assert out.getvalue().splitlines()[-2] == "SUITE PASS"
+        info = polytope._nef_partition.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
+        assert len(built) == 4
+
+    _run(24, 1.0, body)

@@ -622,6 +622,15 @@ def test_suite_shipping_manifest(capsys):
     assert proc.stdout == out.out
 
 
+def test_suite_twice_in_one_process_prints_the_same(capsys):
+    # the second run meets partitions and residue setups the first kept
+    outs = []
+    for _ in range(2):
+        assert main(["suite", "--manifest", fx("manifest.json")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_suite_empty_manifest(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_text('{"cases": []}')

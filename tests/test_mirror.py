@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from reference import (
     inv_factorial,
     reference_linear_form_coefficient,
 )
-from toricres import mirror, series
+from toricres import mirror, polytope, series
+from toricres.jsonio import load_family_file
 from toricres.laurent import LaurentPolynomial, compositions, monomial
 from toricres.mirror import (
     P3XP3,
@@ -483,6 +485,20 @@ def test_verify_family_wps():
     assert len(report["points"]) == 2
     for row in report["points"]:
         assert row["closed_form"] == row["residue"]
+
+
+def test_nef_style_family_file_builds_one_partition():
+    # the file's nef partition and the weighted family's are one object,
+    # residue setup and all
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "p2split.json")
+    kind, fam = load_family_file(path)
+    assert kind == "wps"
+    report = verify_family(fam, 8, P=monomial(3, (1, 0, 1)),
+                           rng=random.Random(0))
+    assert report["ok"] and len(report["points"]) == 2
+    info = polytope._nef_partition.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_verify_family_wps_composite_polynomial():

@@ -744,6 +744,31 @@ def test_nef_partition_rejects_origin_and_duplicates():
         check_nef_partition([[(1, 0)], [(1, 0), (0, 1), (-1, -1)]])
 
 
+def test_one_nef_partition_per_partition():
+    # a part's points reordered, repeated or given as lists name the same
+    # partition, built once
+    nef = check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]])
+    assert check_nef_partition([[(1, 0), (1, 0)], [(-1, -1), (0, 1)]]) is nef
+    assert check_nef_partition([[[1, 0]], [[0, 1], [-1, -1], [0, 1]]],
+                               dim=2) is nef
+    info = polytope._nef_partition.cache_info()
+    assert (info.maxsize, info.misses, info.hits) == (1, 1, 2)
+    # the parts in another order put the coefficients in another order
+    swapped = check_nef_partition([[(0, 1), (-1, -1)], [(1, 0)]])
+    assert swapped is not nef and swapped.parts == nef.parts[::-1]
+
+
+def test_a_refused_partition_keeps_nothing():
+    nef = check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]])
+    for _ in range(2):
+        # refused by the hulls, then by the cheap checks
+        with pytest.raises(NefPartitionError, match="not reflexive"):
+            check_nef_partition([[(1, 0)], [(0, 2), (-1, -2)]])
+        with pytest.raises(NefPartitionError, match="origin"):
+            check_nef_partition([[(0, 0), (1, 0)], [(0, 1), (-1, -1)]])
+    assert check_nef_partition([[(1, 0)], [(0, 1), (-1, -1)]]) is nef
+
+
 def test_nef_partition_r1_projective_plane():
     nef = check_nef_partition([[(1, 0), (0, 1), (-1, -1)]])
     assert nef.r == 1

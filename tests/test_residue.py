@@ -206,6 +206,37 @@ def test_bad_basis_limit_is_a_cli_input_error(monkeypatch, capsys):
     assert "TORIC_MAX_BASIS" in capsys.readouterr().err
 
 
+def test_basis_limit_applies_to_a_kept_setup(monkeypatch):
+    # the pentagon's top level holds 15 monomials; once its setup is kept,
+    # each limit is met as a fresh build meets it
+    nef = pentagon_family()
+    fs = system_from_coefficients(nef, [1, 2, 3])
+    monkeypatch.setenv("TORIC_MAX_BASIS", "15")
+    assert len(residue.residue_setup(nef).top) == 15
+    assert residue_functional(fs, nef).regular
+    for raw, message in (("14", "more than 14 monomials"),
+                         ("-5", "must be a positive integer, not '-5'")):
+        monkeypatch.setenv("TORIC_MAX_BASIS", raw)
+        with pytest.raises(ValueError, match=message):
+            residue_functional(fs, nef)
+        polytope._nef_partition.cache_clear()
+        fresh = pentagon_family()
+        assert fresh is not nef
+        with pytest.raises(ValueError, match=message):
+            residue_functional(system_from_coefficients(fresh, [1, 2, 3]),
+                               fresh)
+
+
+def test_bad_basis_limit_refuses_a_kept_setup_in_the_cli(monkeypatch, capsys):
+    argv = ["residue", "functional",
+            "--nefpart", os.path.join(FIX, "p2split.json"),
+            "--coeffs", os.path.join(FIX, "a.json")]
+    assert main(argv) == 0
+    monkeypatch.setenv("TORIC_MAX_BASIS", "-5")
+    assert main(argv) == 1
+    assert "TORIC_MAX_BASIS must be a positive" in capsys.readouterr().err
+
+
 # Breaks interior_basis's Cayley cone by shifting every facet offset; the
 # bare assert proves the interpreter runs with asserts stripped.
 BROKEN_CONE = """
@@ -581,7 +612,9 @@ def test_identity_refuses_a_functional_of_another_system():
         rf_pent.basis, rf_1.values, rf_1.vol, True, fs_1)
     with pytest.raises(ValueError, match="another top basis"):
         check_mixed_volume_identity(fs_1, nef, foreign)
-    # a second NefPartition of the same partition shares the top basis
+    # a second NefPartition of the same partition, built once the kept one
+    # is dropped, shares the top basis
+    polytope._nef_partition.cache_clear()
     other, _ = wps_nef_partition(
         WpsFamily((1, 1, 1, 1, 1), ((0, 1), (2, 3, 4))))
     assert other is not nef and other.residue_setup is None
