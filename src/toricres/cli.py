@@ -305,8 +305,8 @@ def cmd_yukawa(args):
 
 def cmd_verify(args):
     kind, fam = load_family_file(args.family)
-    # verify_family alone decides which arguments a family kind takes;
-    # only a weighted family draws its coefficient points
+    # verify_family alone chooses its route from the arguments; only a
+    # weighted family file draws its coefficient points
     P = None if args.poly is None else load_laurent(args.poly, args.poly)
     k = None if args.k is None else _parse_ints(args.k, "--k")
     rng = random.Random(args.seed) if kind == "wps" else None

@@ -3,12 +3,14 @@
 All numbers travel as exact integers or rational strings "p/q"; float
 literals are rejected at parse time.  Reports are serialized canonically
 (sorted keys, fixed separators) so identical runs produce identical bytes.
+A family file spells the one family kind in one of three ways.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 from .laurent import LaurentPolynomial
 from .linalg import integer_kernel_basis
@@ -211,46 +213,41 @@ def weights_from_points(points, where):
 
 
 def load_family_file(path):
-    """A family description: weighted (two spellings) or product type.
-
-    Returns ("wps", WpsFamily) or ("product", ProductFamily).  Weighted
-    families are written either as explicit weights with index groups, or
-    as a nef-partition style file whose points determine the weights; in
-    the second form coordinate i is the i-th point of the validated
-    decomposition, so polynomials refer to that order.
+    """(spelling, Family) from a family file, in one of three spellings of
+    the one family kind (see the mirror module).  "product": dims and a
+    degree matrix, factor i's coordinates dealt to the parts in order.
+    "wps", one weighted factor: weights with index groups, or a nef
+    partition whose points give the weights and whose i-th point is
+    coordinate i.  A spelling refuses any key outside its own.
     """
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
+    # marker key: (kind, the vector key, the rows key, the constructor)
+    spellings = {"matrix": ("product", "dims", "matrix", ProductFamily),
+                 "weights": ("wps", "weights", "parts", WpsFamily),
+                 "dim": ("wps", "dim", "parts", None)}
+    marker = next((key for key in spellings if key in data), None)
+    if marker is None:
+        raise InputError(
+            f"{path}: family file needs 'matrix', 'weights', or "
+            "nef-partition style 'dim'/'parts' keys")
+    kind, first, rows, build = spellings[marker]
+    extra = sorted(set(data) - {first, rows})
+    if extra:
+        raise InputError(f"{path}: unknown key {extra[0]!r}")
     try:
-        if "matrix" in data:
-            dims = _int_tuple(_need(data, "dims", path, list), path)
-            matrix = [_int_tuple(row, path)
-                      for row in _need(data, "matrix", path, list)]
-            extra = sorted(set(data) - {"dims", "matrix"})
-            if extra:
-                raise InputError(f"{path}: unknown key {extra[0]!r}")
-            return "product", ProductFamily(dims, matrix)
-        if "weights" in data:
-            weights = _int_tuple(_need(data, "weights", path, list), path)
-            parts = [_int_tuple(g, path)
-                     for g in _need(data, "parts", path, list)]
-            return "wps", WpsFamily(weights, parts)
-        if "parts" in data and "dim" in data:
-            dim, parts = load_nefpart_file(path)
-            nef = check_nef_partition(parts, dim)
-            weights = weights_from_points(nef.points, path)
-            groups = []
-            offset = 0
-            for part in nef.parts:
-                groups.append(tuple(range(offset, offset + len(part))))
-                offset += len(part)
-            return "wps", WpsFamily(weights, groups)
+        if build is not None:
+            vector = _int_tuple(_need(data, first, path, list), path)
+            table = _need(data, rows, path, list)
+            return kind, build(vector, [_int_tuple(r, path) for r in table])
+        dim, parts = load_nefpart_file(path)
+        nef = check_nef_partition(parts, dim)
+        weights = weights_from_points(nef.points, path)
+        ends = list(accumulate(map(len, nef.parts), initial=0))
+        return kind, WpsFamily(weights, map(range, ends, ends[1:]))
     except ValueError as e:
         raise InputError(f"{path}: {e}")
-    raise InputError(
-        f"{path}: family file needs 'matrix', 'weights', or nef-partition "
-        "style 'dim'/'parts' keys")
 
 
 def load_manifest_file(path):

@@ -1,32 +1,40 @@
-"""Generating series of intersection numbers for two bundled family shapes.
+"""Generating series of intersection numbers for one family kind.
 
-Covered families: hypersurface/complete-intersection data on a weighted
-projective space (one series variable), and on a product of projective
-spaces (one variable per factor).  Both kinds produce exact rational
-coefficients; the weighted case also has a closed form, and the two
-bundled product fixtures have closed-form couplings (yukawa_fixture).
+A family is a product of weighted projective spaces P(w^1) x ... x P(w^p)
+(P^d has d + 1 unit weights) with each coordinate dealt to one of r parts;
+n_ij sums factor i's weights in part j.  WpsFamily builds the one-factor
+case and ProductFamily the all-ones case; Family builds any other, such as
+P(1,1,1,3) x P^1, P(1,1,2,2) x P^1 or P(1,1,2) x P(1,1,2) with one part.
+The nef partition is block diagonal: factor i's coordinates go to the
+columns of a surjection killing w^i, so P^d gives e_1..e_d and -sum e.
 
-verify_family runs one pipeline for both kinds.  It checks every input
-first, solving the residue functional of every coefficient point.  Only
-then does the family kind supply its closed-form spec, its termwise
-series and, for weighted families only, rows comparing the closed form
-with the residue pairing at those points.  One loop over the exponents
-up to the order, in the series module's shared layout, compares the
-termwise series with the expanded closed form, whatever the number of
-series variables.  The termwise coefficients never go through the closed
-form's expansion, and the residue pairing never reads either series.
+The termwise series has one variable z_i per factor (Morrison-Plesser,
+"Summing the instantons", 1995; the charge vectors of Hosono-Klemm-
+Theisen-Yau, 1995).  At a multidegree k its z^beta coefficient is the
+x^(W_i beta_i + d_i - k_i) coefficient of
+prod_j (sum_i n_ij x_i)^(sum_i n_ij beta_i + 1), over
+prod_rho w_rho^(w_rho beta_i(rho) + 1), with W_i the weight total and d_i
+the dimension of factor i.  A one-factor family and a P of degree d take
+k = d - r and the scale P(w) / prod d_j, for P(w) (prod d_j^d_j)^b /
+prod w_i^(w_i b + 1) at y^b, with closed form nu * P(w) / (1 - mu*y).
 
-Curve classes are enumerated over the nonnegative orthant (a single ray in
-the weighted case), and coefficients whose extraction window is empty are
-zero.  Series are expanded around the origin of the family's own
-coordinates (y, or z_1..z_p, one per factor); only the P3xP3 forms in
-_CLOSED_FORMS use the chart y_i = 27 z_i, which verify_family substitutes.
+verify_family's arguments choose its route: P, with coefficient points or
+an rng, goes with a one-factor family, and k with a family that has a
+bundled closed form (yukawa_fixture).  Every input is checked, and every
+point's residue functional solved, before any series is built.  One loop
+over the exponents up to the order, in the series module's shared layout,
+compares the termwise series with the expanded closed form; on the P
+route, rows also compare the closed form with the residue pairing at the
+points.  No route reads another's result.  Series are in the family's own
+variables; only the P3xP3 forms use the chart y_i = 27 z_i, which
+verify_family substitutes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import add, mul
 from types import MappingProxyType
 
@@ -62,112 +70,105 @@ from .series import (
 )
 
 
-class WpsFamily:
-    """Weight vector plus a grouping of the coordinates.
+def _split_parts(parts, n=None, nonempty=True):
+    """parts as sorted int tuples, checked to split the coordinate indices
+    0..n-1 into groups, nonempty unless told otherwise; n defaults to the
+    number of indices."""
+    parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
+                  for part in parts)
+    seen = sorted(i for part in parts for i in part)
+    if seen != list(range(len(seen) if n is None else n)) or (
+            nonempty and not all(parts)):
+        raise ValueError("parts must split the coordinate indices into "
+                         + ("nonempty groups" if nonempty else "groups"))
+    return parts
 
-    weights w_1..w_n define the ambient weighted projective space of
-    dimension d = n - 1; parts is a partition of the coordinate indices
-    0..n-1 into r groups, giving group degrees d_j = sum of the grouped
-    weights.  Validity: gcd(w) = 1, every w_i divides the weight total,
-    and every w_i divides every d_j.
+
+class Family:
+    """A product of weighted projective spaces, coordinates dealt to parts.
+
+    factors: a weight vector per factor, two or more positive weights
+    with gcd 1.  parts: each part's coordinates, numbered factor by factor,
+    holding each coordinate once; a part may be empty.  Every weight of
+    factor i divides its total and every n_ij.  Families compare and hash
+    by factors and parts.  Derived: matrix (the n_ij), weights, dims,
+    degrees (each part's sum_i n_ij), n, dim (alias ambient_dim), p, r.
     """
 
-    __slots__ = ("weights", "parts", "degrees")
+    __slots__ = ("factors", "parts", "matrix", "weights", "dims", "degrees",
+                 "n", "dim", "ambient_dim", "p", "r")
 
-    def __init__(self, weights, parts):
-        weights = tuple(_int(w, "weight") for w in weights)
-        if len(weights) < 2 or any(w < 1 for w in weights):
-            raise ValueError("weights must be positive, two or more")
-        if math.gcd(*weights) != 1:
-            raise ValueError("weights must have gcd 1")
-        parts = _split_parts(parts, len(weights))
-        degrees = tuple(sum(weights[i] for i in part) for part in parts)
-        total = sum(weights)
-        for w in weights:
-            if total % w:
-                raise ValueError(f"weight {w} does not divide the total {total}")
-            for dj in degrees:
-                if dj % w:
-                    raise ValueError(
-                        f"weight {w} does not divide the group degree {dj}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "degrees", degrees)
-
-    def __setattr__(self, *_):
-        raise AttributeError("WpsFamily is immutable")
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-    @property
-    def dim(self):
-        return len(self.weights) - 1
-
-    @property
-    def r(self):
-        return len(self.parts)
-
-    def __repr__(self):
-        return (f"WpsFamily(weights={list(self.weights)}, "
-                f"parts={[list(p) for p in self.parts]})")
-
-
-class ProductFamily:
-    """Product of projective spaces with a degree matrix.
-
-    dims are the factor dimensions d_1..d_p; matrix[i][j] is the degree
-    n_ij of the j-th equation on the i-th factor, with row sums d_i + 1.
-    """
-
-    __slots__ = ("dims", "matrix")
-
-    def __init__(self, dims, matrix):
-        dims = tuple(_int(d, "factor dimension") for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("factor dimensions must be positive")
-        matrix = tuple(tuple(_int(x, "degree") for x in row) for row in matrix)
-        if len(matrix) != len(dims):
-            raise ValueError("degree matrix needs one row per factor")
-        r = len(matrix[0])
-        if any(len(row) != r for row in matrix) or r < 1:
-            raise ValueError("degree matrix rows must share a positive length")
-        if any(x < 0 for row in matrix for x in row):
-            raise ValueError("degrees must be nonnegative")
-        for d, row in zip(dims, matrix):
-            if sum(row) != d + 1:
-                raise ValueError(
-                    f"row {list(row)} must sum to {d + 1} for a factor of "
-                    f"dimension {d}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, factors, parts):
+        factors = tuple(tuple(_int(w, "weight") for w in ws)
+                        for ws in factors)
+        for ws in factors:
+            if len(ws) < 2 or any(w < 1 for w in ws):
+                raise ValueError("weights must be positive, two or more")
+            if math.gcd(*ws) != 1:
+                raise ValueError("weights must have gcd 1")
+        weights = sum(factors, ())
+        parts = _split_parts(parts, len(weights), nonempty=False)
+        if not factors or not parts:
+            raise ValueError("a family needs a factor and a part")
+        owner = [i for i, ws in enumerate(factors) for _ in ws]
+        matrix = [[0] * len(parts) for _ in factors]
+        for j, part in enumerate(parts):
+            for c in part:
+                matrix[owner[c]][j] += weights[c]
+        for ws, row in zip(factors, matrix):
+            for w in ws:
+                for what, n in [("the total", sum(ws))] + [
+                        ("the group degree", x) for x in row]:
+                    if n % w:
+                        raise ValueError(
+                            f"weight {w} does not divide {what} {n}")
+        dim = len(weights) - len(factors)
+        for name, value in zip(self.__slots__, (
+                factors, parts, tuple(map(tuple, matrix)), weights,
+                tuple(len(ws) - 1 for ws in factors),
+                tuple(map(sum, zip(*matrix))), len(weights), dim, dim,
+                len(factors), len(parts))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
-        raise AttributeError("ProductFamily is immutable")
+        raise AttributeError("Family is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, ProductFamily) and all(
-            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+        return self.__class__ is other.__class__ and (
+            self.factors, self.parts) == (other.factors, other.parts)
 
     def __hash__(self):
-        return hash((self.dims, self.matrix))
-
-    @property
-    def p(self):
-        return len(self.dims)
-
-    @property
-    def r(self):
-        return len(self.matrix[0])
-
-    @property
-    def ambient_dim(self):
-        return sum(self.dims)
+        return hash((self.factors, self.parts))
 
     def __repr__(self):
-        return (f"ProductFamily(dims={list(self.dims)}, "
-                f"matrix={[list(r) for r in self.matrix]})")
+        return (f"Family(factors={[list(ws) for ws in self.factors]}, "
+                f"parts={[list(part) for part in self.parts]})")
+
+
+def WpsFamily(weights, parts):
+    """The one-factor family P(w) with its coordinates grouped into the
+    nonempty parts, of degrees d_j."""
+    weights = tuple(weights)
+    return Family((weights,), _split_parts(parts, len(weights)))
+
+
+def ProductFamily(dims, matrix):
+    """P^(d_1) x ... x P^(d_p), with the d_i + 1 coordinates of factor i
+    dealt to the parts in order, matrix[i][j] of them to part j."""
+    dims = tuple(_int(d, "factor dimension") for d in dims)
+    matrix = tuple(tuple(_int(x, "degree") for x in row) for row in matrix)
+    if not dims or len(matrix) != len(dims) or any(
+            d < 1 or len(row) != len(matrix[0]) or any(x < 0 for x in row)
+            or sum(row) != d + 1 for d, row in zip(dims, matrix)):
+        raise ValueError("a product family needs dimensions >= 1 and one "
+                         "row of nonnegative degrees per factor, all of one "
+                         "length, row i summing to d_i + 1")
+    coords = iter(range(sum(dims) + len(dims)))
+    parts = [[] for _ in matrix[0]]
+    for row in matrix:
+        for part, count in zip(parts, row):
+            part.extend(next(coords) for _ in range(count))
+    return Family(tuple((1,) * (d + 1) for d in dims), parts)
 
 
 P3XP3 = ProductFamily((3, 3), ((3, 0, 1), (0, 3, 1)))
@@ -213,30 +214,21 @@ def _closed_form_table():
 _CLOSED_FORMS = _closed_form_table()
 
 
-def _split_parts(parts, n=None):
-    """parts as sorted int tuples, checked to split the coordinate indices
-    0..n-1 into nonempty groups; n defaults to the number of indices."""
-    parts = tuple(tuple(sorted(_int(i, "part index") for i in part))
-                  for part in parts)
-    seen = sorted(i for part in parts for i in part)
-    if seen != list(range(len(seen) if n is None else n)) or not all(parts):
-        raise ValueError(
-            "parts must split the coordinate indices into nonempty groups")
-    return parts
-
-
 def wps_vertex_vectors(fam):
-    """One primitive lattice vector per coordinate, summing to 0 weightedly.
-
-    Columns of a surjection that kills exactly the weight direction; the
-    i-th vector is the image of the i-th coordinate ray.
-    """
-    rows = quotient_by_vector(fam.weights)
-    return tuple(tuple(row[i] for row in rows) for i in range(fam.n))
+    """One primitive lattice vector per coordinate: factor i's coordinates
+    map to the columns of a surjection that kills exactly w^i, placed in
+    the block of coordinates of Z^dim that belongs to factor i."""
+    vecs, before = [], 0
+    for ws, d in zip(fam.factors, fam.dims):
+        left, right = (0,) * before, (0,) * (fam.dim - before - d)
+        vecs += [left + col + right for col in zip(*quotient_by_vector(ws))]
+        before += d
+    return tuple(vecs)
 
 
 def wps_nef_partition(fam):
-    """The family's Minkowski decomposition plus a coordinate position map.
+    """The family's nef partition, the one constructor for every family,
+    plus a coordinate position map.
 
     Returns (nef, positions) where positions[i] locates the i-th
     coordinate's vector inside nef.points.
@@ -258,7 +250,11 @@ def wps_nef_partition(fam):
 
 
 def _wps_constants(fam, P):
-    """(P(w), prod w_i, prod w_i^w_i, prod d_j^d_j) for a P of degree dim."""
+    """(P(w), prod w_i, prod w_i^w_i, prod d_j^d_j) for a one-factor
+    family and a P of degree dim."""
+    if fam.p != 1:
+        raise ValueError(f"P goes with a one-factor family, not {fam.p} "
+                         "factors")
     _check_polynomial(P, fam.n)
     _total_degree(P, fam.dim)
     return (P.evaluate(fam.weights), math.prod(fam.weights),
@@ -266,23 +262,56 @@ def _wps_constants(fam, P):
             math.prod(dj ** dj for dj in fam.degrees))
 
 
-def wps_intersection_series(fam, P, order):
-    """Termwise generating series: each coefficient from its own product.
-
-    Coefficient at y^b is P(w) * (prod d_j^d_j)^b / prod w_i^(w_i*b + 1),
-    computed independently of the closed form.
+def _termwise(fam, k, order, scale=1):
+    """The termwise series at the checked k and order, times scale.  A
+    form with one nonzero entry v, on factor i, enters the kernel as x_i;
+    its v^(v*beta_i + 1) joins the weights' normalization as a constant
+    times a ratio per factor to the power beta_i, tabled where it is not
+    1.  When all are integers, each coefficient is a Fraction with no gcd.
     """
-    pw, wprod, wpow, step = _wps_constants(fam, P)
-    order = _order(order)
-    # prod w_i^(w_i*b + 1) = wprod * wpow^b; both powers run with b
+    columns = list(zip(*fam.matrix))
+    forced, general = _linear_form_plan(columns)
+    plan = ([(j, i, 1) for j, i, _ in forced], general)
+    num = scale.numerator * math.prod(v for _, _, v in forced)
+    den = scale.denominator * math.prod(fam.weights)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    ratios = []
+    for i, ws in enumerate(fam.factors):
+        a = math.prod(v ** v for _, row, v in forced if row == i)
+        b = math.prod(w ** w for w in ws)
+        g = math.gcd(a, b)
+        if a != b:
+            tables = [list(accumulate(repeat(x // g, order), mul, initial=1))
+                      for x in (a, b)]
+            ratios.append((i, *tables))
+    integral = den == 1 and all(dens[-1] == 1 for _, _, dens in ratios)
+    # the table is needed only to expand a general form
+    fact = _factorials(max(map(max, columns)) * order + 1) if general else ()
+    widths = [sum(ws) for ws in fam.factors]
+    base = [d - kk for d, kk in zip(fam.dims, k)]
     coeffs = {}
-    if pw:
-        num, den = pw.numerator, pw.denominator * wprod
-        for b in range(order + 1):
-            coeffs[(b,)] = Fraction(num, den)
-            num *= step
-            den *= wpow
-    return TruncatedSeries._exact(1, order, coeffs)
+    for beta in _layout(fam.p, order):
+        target = tuple(map(add, map(mul, widths, beta), base))
+        if min(target) < 0:
+            continue
+        powers = [sum(map(mul, col, beta)) + 1 for col in columns]
+        raw = _linear_form_kernel(plan, powers, target, fact) * num
+        if raw:
+            d = den
+            for i, nums, dens in ratios:
+                raw *= nums[beta[i]]
+                d *= dens[beta[i]]
+            coeffs[beta] = Fraction(raw) if integral else Fraction(raw, d)
+    return TruncatedSeries._exact(fam.p, order, coeffs)
+
+
+def wps_intersection_series(fam, P, order):
+    """Termwise series of a one-factor family and a P of degree dim: the
+    coefficient at y^b is P(w) * (prod d_j^d_j)^b / prod w_i^(w_i*b + 1),
+    computed independently of the closed form."""
+    scale = _wps_constants(fam, P)[0] / math.prod(fam.degrees)
+    return _termwise(fam, (fam.dim - fam.r,), _order(order), scale)
 
 
 def wps_closed_form(fam, P):
@@ -293,35 +322,9 @@ def wps_closed_form(fam, P):
 
 
 def product_intersection_series(fam, k, order):
-    """Series over the factor curve degrees, one z-variable per factor.
-
-    The coefficient at z^beta is the x^(n_i b_i + d_i - k_i) coefficient of
-    prod_j (sum_i n_ij x_i)^(sum_i n_ij b_i + 1); out-of-range extraction
-    windows give 0.
-    """
-    k = _multidegree(k, fam.p, "k", fam.ambient_dim - fam.r)
-    order = _order(order)
-    # target_i = n_i b_i + (d_i - k_i) with n_i = d_i + 1
-    ns = tuple(d + 1 for d in fam.dims)
-    base = tuple(d - kk for d, kk in zip(fam.dims, k))
-    columns = [tuple(fam.matrix[i][j] for i in range(fam.p))
-               for j in range(fam.r)]
-    # one plan for every beta; a column with a single nonzero entry takes
-    # its power straight off the target
-    plan = _linear_form_plan(columns)
-    # the row sums d_i + 1 give every target the total degree sum_j e_j
-    # that the kernel needs; a negative target entry gives 0
-    fact = _factorials(max(map(max, columns)) * order + 1)
-    coeffs = {}
-    for beta in _layout(fam.p, order):
-        target = tuple(map(add, map(mul, ns, beta), base))
-        if min(target) < 0:
-            continue
-        powers = [sum(map(mul, col, beta)) + 1 for col in columns]
-        raw = _linear_form_kernel(plan, powers, target, fact)
-        if raw:
-            coeffs[beta] = Fraction(raw)
-    return TruncatedSeries._exact(fam.p, order, coeffs)
+    """Termwise series at the multidegree k, one z-variable per factor."""
+    k = _multidegree(k, fam.p, "k", fam.dim - fam.r)
+    return _termwise(fam, k, _order(order))
 
 
 def q_to_p(Q, parts, degree=None):
@@ -415,17 +418,15 @@ def _wps_residue_value(nef, positions, P, point, rf):
 def verify_family(fam, order, P=None, k=None, points=None, rng=None):
     """Compare the series pipelines for one family (see the module docstring).
 
-    A weighted family takes P and either two or more coefficient points or
-    an rng, from which two regular points are drawn as draw_wps_points
-    does; each point's functional is solved, and a given point with a
-    non-regular system refused, before any series is built.  A product
-    family takes only k, and needs a bundled closed form, which is
-    compared in z after its chart is substituted.  Each kind refuses the
-    other kind's arguments.  Returns a report dict whose "ok" is True only
-    when every comparison is an exact match.
+    A one-factor family takes P, unless only k is given, and two or more
+    coefficient points or an rng that draws two regular points; a given
+    point with a non-regular system is refused.  Any other call takes only
+    k, and a bundled closed form, compared in z after its chart is
+    substituted.  Returns a report whose "ok" is True only when every
+    comparison is an exact match.
     """
     order = _order(order)
-    if isinstance(fam, WpsFamily):
+    if fam.p == 1 and (P is not None or k is None):
         if P is None:
             raise ValueError("a weighted family needs the polynomial P")
         if k is not None:
@@ -460,7 +461,7 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
             res = _wps_residue_value(nef, positions, P, pt, rf)
             point_rows.append({"a": pt, "y": y, "closed_form": closed,
                                "residue": res, "equal": closed == res})
-    elif isinstance(fam, ProductFamily):
+    else:
         if k is None:
             raise ValueError("a product family needs the index tuple k")
         extra = [name for name, arg in (("P", P), ("points", points),
@@ -471,16 +472,13 @@ def verify_family(fam, order, P=None, k=None, points=None, rng=None):
         key = next((name for name, (f, _, _) in _CLOSED_FORMS.items()
                     if f == fam), None)
         if key is None:
-            raise ValueError(
-                "no bundled closed form matches this product family")
+            raise ValueError("no bundled closed form matches this family")
         mode = "product"
         # product_intersection_series checks k before it takes any
         # coefficient; every k that passes has a bundled closed form
         termwise = product_intersection_series(fam, k, order)
         spec = _in_z(yukawa_fixture(key, k), _CLOSED_FORMS[key][1])
         point_rows = []
-    else:
-        raise TypeError("expected a WpsFamily or ProductFamily")
     expanded = expand_rational(spec, order)
     rows = []
     zero = Fraction(0)

@@ -27,6 +27,8 @@ reads mixed volumes off one triangulation of the Cayley polytope instead.
 
 inv_factorial gives the product families' factorial forms, and in_y_chart
 takes a product series to the chart y = 27z of the bundled P3xP3 forms.
+reference_wps_series is the closed power loop of a one-factor family's
+termwise series, with none of the linear-form kernel.
 """
 
 import math
@@ -50,6 +52,22 @@ def in_y_chart(s, scale):
     divided by scale^|beta|."""
     return TruncatedSeries(s.nvars, s.order, {
         e: c / scale ** sum(e) for e, c in s.coeffs.items()})
+
+
+def reference_wps_series(fam, P, order):
+    """The termwise series of a one-factor family by its closed power loop:
+    the coefficient at y^b is P(w) * (prod d_j^d_j)^b / prod w_i^(w_i b + 1),
+    each power carried from b - 1."""
+    pw = P.evaluate(fam.weights)
+    num, den = pw, math.prod(fam.weights)
+    step = math.prod(d ** d for d in fam.degrees)
+    wpow = math.prod(w ** w for w in fam.weights)
+    coeffs = {}
+    for b in range(order + 1):
+        coeffs[(b,)] = num / den
+        num *= step
+        den *= wpow
+    return TruncatedSeries(1, order, coeffs)
 
 
 def _echelon(rows):

@@ -64,23 +64,6 @@ FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PENTAGON_PARTS = [[(1, 0)], [(0, 1), (-1, -1)]]
 
 
-def product_parts(fam):
-    """Nef partition of a product of projective spaces: factor i gives the
-    rays e_1..e_{d_i} of its own coordinates and their negated sum, dealt
-    to the parts in order, matrix[i][j] of them to part j."""
-    n = sum(fam.dims)
-    parts = [[] for _ in fam.matrix[0]]
-    offset = 0
-    for di, row in zip(fam.dims, fam.matrix):
-        units = [tuple(int(j == offset + t) for j in range(n))
-                 for t in range(di)]
-        rays = iter(units + [tuple(-sum(c) for c in zip(*units))])
-        for part, count in zip(parts, row):
-            part.extend(next(rays) for _ in range(count))
-        offset += di
-    return parts
-
-
 def _run(num, limit, body):
     t0 = time.perf_counter()
     error = None
@@ -360,7 +343,7 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_p3xp3_nef_partition_and_dual():
     def body():
-        nef = check_nef_partition(product_parts(P3XP3))
+        nef, _ = wps_nef_partition(P3XP3)
         assert (nef.dim, nef.r) == (6, 3)
         assert len(nef.delta.facets) == 23
         assert all(c == 1 for _, c in nef.delta.facets)
@@ -374,7 +357,7 @@ def test_criterion_9_p3xp3_nef_partition_and_dual():
 
 def test_criterion_10_p4xp1_mixed_volume_identity():
     def body():
-        nef = check_nef_partition(product_parts(P4XP1))
+        nef, _ = wps_nef_partition(P4XP1)
         _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
         rep = check_mixed_volume_identity(fs, nef, rf)
         got = {row["k"]: row["residue"] for row in rep["rows"]}
@@ -414,7 +397,7 @@ def test_criterion_13_p3xp3_residue_functional():
         # the paper-scale functional: 26829 span rows on a top piece of
         # 7876 monomials, regular at the first seeded draw; the first
         # prime's elimination reaches rank 7875 after 8030 of the rows
-        nef = check_nef_partition(product_parts(P3XP3))
+        nef, _ = wps_nef_partition(P3XP3)
         setup = residue_setup(nef)
         assert (len(setup.top), len(setup.lower)) == (7876, 2981)
         assert setup.vol == 16
@@ -428,7 +411,7 @@ def test_criterion_14_p3xp3_mixed_volume_identity():
     def body():
         # Conjecture 3.10 at the paper's scale: the mixed volumes are
         # counted from graded pieces, and their sum meets the Cayley volume
-        nef = check_nef_partition(product_parts(P3XP3))
+        nef, _ = wps_nef_partition(P3XP3)
         residue_setup(nef)
         _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
         rep = check_mixed_volume_identity(fs, nef, rf)
@@ -458,7 +441,7 @@ def test_criterion_15_p3xp3_residue_setup_lists_each_piece_once(
     def body():
         # both interior levels at the paper's scale, every piece certified
         # from its cuts: no full piece is listed for the exact check
-        nef = check_nef_partition(product_parts(P3XP3))
+        nef, _ = wps_nef_partition(P3XP3)
         setup = residue_setup(nef)
         assert (len(setup.top), len(setup.lower)) == (7876, 2981)
         assert setup.vol == 16
@@ -554,7 +537,7 @@ def test_criterion_20_cicy_2222_residue_functional(monkeypatch):
 
 
 def test_criterion_21_p3xp3_mixed_volumes_off_the_setup(monkeypatch):
-    nef = check_nef_partition(product_parts(P3XP3))
+    nef, _ = wps_nef_partition(P3XP3)
     residue_setup(nef)
     listed = []
     real = residue.nef_piece_points
@@ -579,7 +562,7 @@ def test_criterion_21_p3xp3_mixed_volumes_off_the_setup(monkeypatch):
 
 
 def test_criterion_22_p3xp3_elimination_skips_the_koszul_rows(monkeypatch):
-    nef = check_nef_partition(product_parts(P3XP3))
+    nef, _ = wps_nef_partition(P3XP3)
     residue_setup(nef)
     consumed = []
     real = linalg._echelon_mod

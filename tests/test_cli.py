@@ -462,6 +462,16 @@ def test_product_family_file_refuses_a_chart_scale(tmp_path, capsys):
         assert "unknown key 'y_scales'" in out.err
 
 
+def test_weighted_family_file_refuses_an_unknown_key(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"weights": [1, 1, 1, 1, 1], "parts": [[0, 1, 2, 3, 4]], '
+                   '"scale": 5}')
+    code, report, out = run(capsys, "series", "wps", "--family", str(fam),
+                            "--poly", fx("quintic_poly.json"), "--order", "2")
+    assert code == 1 and report is None
+    assert "unknown key 'scale'" in out.err
+
+
 def test_verify_trmc_flag_requirements(capsys):
     assert run(capsys, "verify", "trmc", "--family", fx("p2split.json"),
                "--order", "4")[0] == 1

@@ -229,6 +229,18 @@ def test_load_family_file_bad(tmp_path):
         load_family_file(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"weights": [1, 1, 1, 1, 1], "parts": [[0, 1, 2, 3, 4]], "scale": 5}',
+    '{"dim": 2, "parts": [[[1, 0]], [[0, 1], [-1, -1]]], "scale": 5}',
+    '{"dims": [4], "matrix": [[5]], "scale": 5}',
+], ids=["weights", "nef-style", "matrix"])
+def test_family_file_refuses_unknown_keys(tmp_path, text):
+    # every spelling refuses a key outside its own, as the matrix one did
+    path = write(tmp_path, "f.json", text)
+    with pytest.raises(InputError, match="unknown key 'scale'"):
+        load_family_file(path)
+
+
 @pytest.mark.parametrize("load, text, message", [
     (load_nefpart_file, '{"dim": 2, "parts": []}', "empty parts list"),
     (load_system_file,

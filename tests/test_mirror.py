@@ -9,6 +9,7 @@ from reference import (
     in_y_chart,
     inv_factorial,
     reference_linear_form_coefficient,
+    reference_wps_series,
 )
 from toricres import mirror, polytope, series
 from toricres.jsonio import load_family_file
@@ -16,6 +17,7 @@ from toricres.laurent import LaurentPolynomial, compositions, monomial
 from toricres.mirror import (
     P3XP3,
     P4XP1,
+    Family,
     ProductFamily,
     WpsFamily,
     product_intersection_series,
@@ -26,6 +28,11 @@ from toricres.mirror import (
     wps_nef_partition,
     wps_vertex_vectors,
     yukawa_fixture,
+)
+from toricres.residue import (
+    check_mixed_volume_identity,
+    draw_regular_coefficients,
+    residue_setup,
 )
 from toricres.series import TruncatedSeries, expand_rational
 
@@ -64,6 +71,38 @@ def test_product_family_validation():
         ProductFamily((3, 3), ((3, 0, 1), (0, 4)))  # ragged
     assert P3XP3.r == 3 and P3XP3.ambient_dim == 6
     assert P4XP1.r == 2 and P4XP1.p == 2
+
+
+def test_families_compare_by_factors_and_parts():
+    # two spellings of one grouping are one family, with one hash
+    a = WpsFamily((1, 1, 1), [(0,), (1, 2)])
+    b = WpsFamily((1, 1, 1), [(0,), (2, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert a == Family([[1, 1, 1]], [[0], [2, 1]])
+    # the order of the parts and the weights are part of the family
+    for other in (WpsFamily((1, 1, 1), [(1, 2), (0,)]),
+                  WpsFamily((1, 1, 1), [(0, 1), (2,)]),
+                  WpsFamily((1, 1, 2), [(0, 1), (2,)]), P3XP3):
+        assert a != other
+    assert len({a, b, WpsFamily((1, 1, 1), [(1, 2), (0,)])}) == 2
+    # the product spelling of P^4 with one part of degree 5 is the quintic
+    quintic = ProductFamily((4,), ((5,),))
+    assert quintic == quintic_family()
+    assert hash(quintic) == hash(quintic_family())
+    assert quintic.matrix == ((5,),) and quintic.degrees == (5,)
+    with pytest.raises(ValueError, match="no bundled closed form"):
+        verify_family(quintic, 2, k=(3,))
+
+
+def test_product_family_deals_coordinates_in_order():
+    assert P3XP3.factors == ((1,) * 4, (1,) * 4)
+    assert P3XP3.parts == ((0, 1, 2), (4, 5, 6), (3, 7))
+    assert P4XP1.parts == ((0, 1, 2, 3), (4, 5, 6))
+    assert (P4XP1.dims, P4XP1.matrix, P4XP1.n) == ((4, 1), ((4, 1), (0, 2)), 7)
+    with pytest.raises(ValueError):
+        ProductFamily((1,), ((-1, 3),))  # a negative degree
+    with pytest.raises(ValueError):
+        ProductFamily((1, 1), ((3,), (1,)))  # rows must deal their own
 
 
 def test_wps_vertex_vectors_relations():
@@ -123,6 +162,12 @@ def test_wps_degree_validation():
         wps_intersection_series(fam, monomial(2, (1, 1)), 3)
     with pytest.raises(ValueError):
         wps_intersection_series(fam, monomial(3, (-1, 2, 1)), 3)
+    # P goes with a one-factor family only
+    P7 = monomial(7, (1, 1, 1, 1, 1, 0, 0))
+    with pytest.raises(ValueError, match="one-factor family"):
+        wps_intersection_series(P4XP1, P7, 3)
+    with pytest.raises(ValueError, match="one-factor family"):
+        wps_closed_form(P4XP1, P7)
 
 
 def test_wps_nu_for_nonunit_weights():
@@ -145,6 +190,33 @@ def test_wps_termwise_equals_expansion():
         termwise = wps_intersection_series(fam, P, order)
         expanded = expand_rational(wps_closed_form(fam, P), order)
         assert termwise == expanded
+
+
+# (weights, parts, order): the quintic, three one-part weighted families,
+# (2,3) in P^4, (3,3) in P^5 and the plane split {x1}, {x2, x3}
+WEIGHTED_FAMILIES = [
+    ((1, 1, 1, 1, 1), [(0, 1, 2, 3, 4)], 400),
+    ((1, 1, 1, 1, 2), [(0, 1, 2, 3, 4)], 60),
+    ((1, 1, 1, 1, 4), [(0, 1, 2, 3, 4)], 40),
+    ((1, 1, 1, 2, 5), [(0, 1, 2, 3, 4)], 40),
+    ((1, 1, 1, 1, 1), [(0, 1), (2, 3, 4)], 60),
+    ((1, 1, 1, 1, 1, 1), [(0, 1, 2), (3, 4, 5)], 40),
+    ((1, 1, 1), [(0,), (1, 2)], 40),
+]
+
+
+@pytest.mark.parametrize("weights, parts, order", WEIGHTED_FAMILIES,
+                         ids=lambda x: str(x))
+def test_wps_series_matches_the_closed_power_loop(weights, parts, order):
+    # the linear-form route against P(w) (prod d_j^d_j)^b / prod w^(w b + 1)
+    fam = WpsFamily(weights, parts)
+    n = len(weights)
+    # P = (2/3) x_0^dim + x_1 ... x_dim, of degree dim
+    P = LaurentPolynomial(n, {(n - 1,) + (0,) * (n - 1): Fraction(2, 3),
+                              (0,) + (1,) * (n - 1): 1})
+    got = wps_intersection_series(fam, P, order)
+    assert got == reference_wps_series(fam, P, order)
+    assert len(got.coeffs) == order + 1
 
 
 def test_product_series_p3xp3():
@@ -239,18 +311,21 @@ def random_k(fam, rng):
 
 
 def check_against_reference(fam, k, order):
-    """Every coefficient of the product series against the factor-by-factor
-    reference; returns how many are nonzero."""
+    """Every coefficient of the termwise series against the factor-by-factor
+    reference on the columns n_ij, over prod w^(w beta_i + 1); returns how
+    many are nonzero."""
     got = product_intersection_series(fam, k, order)
     columns = list(zip(*fam.matrix))
     nonzero = 0
     for total in range(order + 1):
         for b in compositions(total, fam.p):
-            target = [(d + 1) * bi + d - ki
-                      for d, bi, ki in zip(fam.dims, b, k)]
+            target = [sum(ws) * bi + len(ws) - 1 - ki
+                      for ws, bi, ki in zip(fam.factors, b, k)]
             forms = [(col, sum(c * bi for c, bi in zip(col, b)) + 1)
                      for col in columns]
-            want = reference_linear_form_coefficient(forms, target)
+            norm = math.prod(w ** (w * bi + 1)
+                             for ws, bi in zip(fam.factors, b) for w in ws)
+            want = reference_linear_form_coefficient(forms, target) / norm
             assert got.coefficient(b) == want
             nonzero += want != 0
     assert all(got.coeffs.values())
@@ -317,6 +392,42 @@ def test_dense_product_series_matches_factor_by_factor_reference():
     assert min(seen.values()) >= 5, seen
 
 
+def weighted_product_family(rng):
+    """1-3 factors of 2-4 weights <= 3 each, with the coordinates dealt to
+    1-3 parts at random; a draw that is no family, because a weight does
+    not divide its factor's total or an n_ij, or that has more parts than
+    dimensions, is drawn again.  Parts may be empty."""
+    while True:
+        factors = [[rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+                   for _ in range(rng.randint(1, 3))]
+        n = sum(map(len, factors))
+        r = rng.randint(1, 3)
+        deal = [rng.randrange(r) for _ in range(n)]
+        try:
+            fam = Family(factors, [[c for c in range(n) if deal[c] == j]
+                                   for j in range(r)])
+        except ValueError:
+            continue
+        if fam.r <= fam.dim:
+            return fam
+
+
+def test_weighted_product_series_matches_factor_by_factor_reference():
+    rng = random.Random(29)
+    seen = {"weighted": 0, "several factors, weighted": 0,
+            "general form, weighted": 0, "nonzero": 0}
+    for _ in range(40):
+        fam = weighted_product_family(rng)
+        k = random_k(fam, rng)
+        weighted = max(fam.weights) > 1
+        seen["weighted"] += weighted
+        seen["several factors, weighted"] += weighted and fam.p > 1
+        seen["general form, weighted"] += weighted and any(
+            sum(1 for x in col if x) > 1 for col in zip(*fam.matrix))
+        seen["nonzero"] += check_against_reference(fam, k, 5 - fam.p)
+    assert min(seen.values()) >= 5, seen
+
+
 def test_one_kernel_for_both_termwise_routes(monkeypatch):
     # the public coefficient and the product series reach one private
     # kernel: the same function object, counted from both routes
@@ -338,6 +449,11 @@ def test_one_kernel_for_both_termwise_routes(monkeypatch):
     # one call per beta: every target (5 b1 + 1, 2 b2 + 1) is nonnegative
     assert len(calls) == 1 + sum(len(compositions(t, 2)) for t in range(6))
     assert series_got.coeffs
+    # the weighted route is the same series, one call per b
+    calls.clear()
+    wps_got = wps_intersection_series(quintic_family(),
+                                      monomial(5, (0, 1, 1, 1, 1)), 7)
+    assert len(calls) == 8 and len(wps_got.coeffs) == 8
 
 
 def test_product_series_builds_one_fraction_per_coefficient(monkeypatch):
@@ -534,8 +650,8 @@ def test_verify_family_validation():
         verify_family(split_family(), 4)  # P missing
     with pytest.raises(ValueError):
         verify_family(P3XP3, 4)  # k missing
-    with pytest.raises(TypeError):
-        verify_family("nope", 4, k=(1,))
+    with pytest.raises(AttributeError):
+        verify_family("nope", 4, k=(1,))  # not a family: no factor count
     with pytest.raises(ValueError):
         # valid family without a bundled closed form
         verify_family(ProductFamily((2,), ((3,),)), 2, k=(1,))
@@ -624,3 +740,37 @@ def test_verify_family_refuses_before_any_series(monkeypatch, fam, kwargs):
     # the same counters see a valid call build its series
     verify_family(P4XP1, 2, k=(3, 0))
     assert calls == ["product_intersection_series", "expand_rational"]
+
+
+# (factors, parts, top piece size, Cayley volume): products of weighted
+# projective spaces, each with one part, that the library builds beyond
+# the two bundled spellings
+NEW_FAMILIES = [
+    pytest.param(((1, 1, 1, 3), (1, 1)), [range(6)], 251, 12,
+                 id="P(1,1,1,3)xP1[6,2]"),
+    pytest.param(((1, 1, 2, 2), (1, 1)), [range(6)], 251, 12,
+                 id="P(1,1,2,2)xP1[6,2]"),
+    pytest.param(((1, 1, 2), (1, 1, 2)), [range(6)], 321, 16,
+                 id="P(1,1,2)xP(1,1,2)[4,4]"),
+    pytest.param(((1, 1, 1, 3), (1, 1), (1, 1)), [range(8)], 1320, 24,
+                 id="P(1,1,1,3)xP1xP1[6,2,2]"),
+]
+
+
+@pytest.mark.parametrize("factors, parts, top, vol", NEW_FAMILIES)
+def test_weighted_product_families_hold_conjecture_310(factors, parts, top,
+                                                       vol):
+    fam = Family(factors, parts)
+    nef, _ = wps_nef_partition(fam)
+    setup = residue_setup(nef)
+    assert (len(setup.top), setup.vol) == (top, vol)
+    _, fs, rf = draw_regular_coefficients(nef, random.Random(1))
+    report = check_mixed_volume_identity(fs, nef, rf)
+    assert report["all_equal"] and report["sum_equals_vol"]
+    assert report["vol"] == vol
+    # the termwise series builds; no closed form is bundled to compare
+    k = (fam.dim - fam.r,) + (0,) * (fam.p - 1)
+    s = product_intersection_series(fam, k, 3)
+    assert s.order == 3 and s.coeffs
+    with pytest.raises(ValueError, match="no bundled closed form"):
+        verify_family(fam, 3, k=k)
