@@ -268,10 +268,8 @@ def _series_lines(sjson):
 
 
 def cmd_series(args):
-    kind, fam = load_family_file(args.family)
+    fam = load_family_file(args.family)
     if args.subcommand == "wps":
-        if kind != "wps":
-            raise InputError("series wps needs a weighted family file")
         P = load_laurent(args.poly, args.poly)
         series = wps_intersection_series(fam, P, args.order)
         cf = wps_closed_form(fam, P)
@@ -283,8 +281,6 @@ def cmd_series(args):
                   "closed_form_numerator": rat_str(numer),
                   "closed_form_mu": rat_str(mu)}
     else:
-        if kind != "product":
-            raise InputError("series product needs a product family file")
         k = _parse_ints(args.k, "--k")
         series = product_intersection_series(fam, k, args.order)
         report = {"command": "series product", "order": args.order,
@@ -304,12 +300,12 @@ def cmd_yukawa(args):
 
 
 def cmd_verify(args):
-    kind, fam = load_family_file(args.family)
-    # verify_family alone chooses its route from the arguments; only a
-    # weighted family file draws its coefficient points
+    fam = load_family_file(args.family)
+    # verify_family alone chooses its route from the arguments; the seed
+    # draws coefficient points only when the flags pick the P route
     P = None if args.poly is None else load_laurent(args.poly, args.poly)
     k = None if args.k is None else _parse_ints(args.k, "--k")
-    rng = random.Random(args.seed) if kind == "wps" else None
+    rng = random.Random(args.seed) if P is not None and k is None else None
     raw = verify_family(fam, args.order, P=P, k=k, rng=rng)
     rows = [{"exponent": list(r["exponent"]), "termwise": rat_str(r["termwise"]),
              "closed_form": rat_str(r["closed_form"]), "equal": r["equal"]}

@@ -3,7 +3,9 @@
 All numbers travel as exact integers or rational strings "p/q"; float
 literals are rejected at parse time.  Reports are serialized canonically
 (sorted keys, fixed separators) so identical runs produce identical bytes.
-A family file spells the one family kind in one of three ways.
+A family file spells the one family kind in one of three ways;
+`load_family_file` returns the Family alone, so callers route by what the
+family is and by their own arguments, never by the spelling.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .laurent import LaurentPolynomial
-from .linalg import integer_kernel_basis
+from .linalg import det_int, integer_kernel_basis
 from .mirror import ProductFamily, WpsFamily
 from .polytope import LatticePolytope, check_nef_partition
 from .series import TruncatedSeries
@@ -122,7 +124,10 @@ def load_polytopes_file(path):
 
 def load_nefpart_file(path):
     """Parts of a proposed decomposition, unvalidated points per summand."""
-    data = load_json(path)
+    return _nefpart(load_json(path), path)
+
+
+def _nefpart(data, path):
     dim = _need(data, "dim", path, int)
     raw = _need(data, "parts", path, list)
     if not raw:
@@ -192,8 +197,9 @@ def series_json(series):
 def weights_from_points(points, where):
     """The unique positive primitive relation among fan points.
 
-    points: n lattice points in Z^d whose kernel (as columns) has rank 1;
-    the generator, sign-fixed to be positive, is the weight vector.
+    points: n lattice points in Z^d whose kernel (as columns) has rank 1
+    and which span Z^d; the generator, sign-fixed to be positive, is the
+    weight vector.
     """
     n = len(points)
     d = len(points[0])
@@ -209,30 +215,37 @@ def weights_from_points(points, where):
     if any(x <= 0 for x in w):
         raise InputError(
             f"{where}: the point relation {w} is not positive")
+    # the fan of P(w) spans Z^d; points spanning a sublattice of index m > 1
+    # give the fake weighted space P(w)/Z_m, which P(w)'s series misdescribes
+    index = abs(det_int(points[1:])) // w[0] if n == d + 1 else 0
+    if index != 1:
+        raise InputError(
+            f"{where}: the points span a sublattice of index "
+            f"{index or 'infinite'}, not the whole lattice")
     return tuple(w)
 
 
 def load_family_file(path):
-    """(spelling, Family) from a family file, in one of three spellings of
-    the one family kind (see the mirror module).  "product": dims and a
-    degree matrix, factor i's coordinates dealt to the parts in order.
-    "wps", one weighted factor: weights with index groups, or a nef
-    partition whose points give the weights and whose i-th point is
-    coordinate i.  A spelling refuses any key outside its own.
+    """The Family in a family file, in one of three spellings of the one
+    family kind (see the mirror module): dims and a degree matrix, factor
+    i's coordinates dealt to the parts in order; weights with index
+    groups; or a nef partition whose points give the weights and whose
+    i-th point is coordinate i.  A spelling refuses any key outside its
+    own, and the loaded family does not remember which one it came from.
     """
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
-    # marker key: (kind, the vector key, the rows key, the constructor)
-    spellings = {"matrix": ("product", "dims", "matrix", ProductFamily),
-                 "weights": ("wps", "weights", "parts", WpsFamily),
-                 "dim": ("wps", "dim", "parts", None)}
+    # marker key: (the vector key, the rows key, the constructor)
+    spellings = {"matrix": ("dims", "matrix", ProductFamily),
+                 "weights": ("weights", "parts", WpsFamily),
+                 "dim": ("dim", "parts", None)}
     marker = next((key for key in spellings if key in data), None)
     if marker is None:
         raise InputError(
             f"{path}: family file needs 'matrix', 'weights', or "
             "nef-partition style 'dim'/'parts' keys")
-    kind, first, rows, build = spellings[marker]
+    first, rows, build = spellings[marker]
     extra = sorted(set(data) - {first, rows})
     if extra:
         raise InputError(f"{path}: unknown key {extra[0]!r}")
@@ -240,12 +253,12 @@ def load_family_file(path):
         if build is not None:
             vector = _int_tuple(_need(data, first, path, list), path)
             table = _need(data, rows, path, list)
-            return kind, build(vector, [_int_tuple(r, path) for r in table])
-        dim, parts = load_nefpart_file(path)
+            return build(vector, [_int_tuple(r, path) for r in table])
+        dim, parts = _nefpart(data, path)
         nef = check_nef_partition(parts, dim)
         weights = weights_from_points(nef.points, path)
         ends = list(accumulate(map(len, nef.parts), initial=0))
-        return kind, WpsFamily(weights, map(range, ends, ends[1:]))
+        return WpsFamily(weights, map(range, ends, ends[1:]))
     except ValueError as e:
         raise InputError(f"{path}: {e}")
 

@@ -330,6 +330,55 @@ def test_series_wps_requires_wps_family(capsys):
                "--poly", fx("quintic_poly.json"), "--order", "2")[0] == 1
 
 
+QUINTIC_MATRIX = '{"dims": [4], "matrix": [[5]]}'
+P2SPLIT_WEIGHTS = '{"weights": [1, 1, 1], "parts": [[0], [1, 2]]}'
+
+
+@pytest.mark.parametrize("named, text, argv", [
+    ("quintic.json", QUINTIC_MATRIX,
+     ("series", "wps", "--poly", fx("quintic_poly.json"), "--order", "3")),
+    ("quintic.json", QUINTIC_MATRIX,
+     ("series", "product", "--k", "3", "--order", "3")),
+    ("quintic.json", QUINTIC_MATRIX,
+     ("verify", "trmc", "--poly", fx("quintic_poly.json"), "--order", "3")),
+    ("p2split.json", P2SPLIT_WEIGHTS,
+     ("verify", "trmc", "--poly", fx("x1x2.json"), "--order", "8")),
+], ids=["series-wps", "series-product", "verify-quintic", "verify-p2split"])
+def test_one_family_in_any_spelling_gives_one_output(tmp_path, capsys, named,
+                                                     text, argv):
+    other = tmp_path / "family.json"
+    other.write_text(text)
+    code, _, out = run(capsys, *argv, "--family", fx(named))
+    code2, _, out2 = run(capsys, *argv, "--family", str(other))
+    assert code == code2 == 0
+    assert out.out == out2.out and out.err == out2.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "trmc", "--family", fx("quintic.json"), "--k", "3",
+      "--order", "2"), "no bundled closed form matches this family"),
+    (("series", "wps", "--family", fx("p3xp3.json"),
+      "--poly", fx("quintic_poly.json"), "--order", "2"),
+     "P goes with a one-factor family, not 2 factors"),
+])
+def test_a_refusal_names_only_flags_given(capsys, argv, message):
+    code, report, out = run(capsys, *argv)
+    assert code == 1 and report is None
+    assert out.err == f"error: {message}\n"
+
+
+def test_verify_trmc_refuses_a_fake_weighted_family_file(tmp_path, capsys):
+    # P^2/Z_3 (volume 9) would pass as P^2 and print the rows of the
+    # cubic, whose volume is 3; nefpart check still accepts the partition
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"dim": 2, "parts": [[[2, -1], [-1, -1], [-1, 2]]]}')
+    code, report, out = run(capsys, "verify", "trmc", "--family", str(fam),
+                            "--poly", fx("x1x2.json"), "--order", "3")
+    assert code == 1 and report is None
+    assert "sublattice of index 3" in out.err
+    assert run(capsys, "nefpart", "check", "--nefpart", str(fam))[0] == 0
+
+
 def test_series_product(capsys):
     code, report, _ = run(capsys, "series", "product",
                           "--family", fx("p3xp3.json"),

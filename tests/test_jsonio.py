@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricres import jsonio
 from toricres.jsonio import (
     InputError,
     canonical_json,
@@ -26,7 +27,8 @@ from toricres.jsonio import (
     weights_from_points,
 )
 from toricres.laurent import monomial
-from toricres.mirror import P3XP3
+from toricres.mirror import P3XP3, WpsFamily
+from toricres.polytope import check_nef_partition
 from toricres.series import TruncatedSeries
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -199,24 +201,72 @@ def test_weights_from_points_weighted():
 
 
 def test_load_family_file_product():
-    kind, fam = load_family_file(f"{FIX}/p3xp3.json")
-    assert kind == "product"
+    fam = load_family_file(f"{FIX}/p3xp3.json")
     assert fam.dims == (3, 3)
     assert fam == P3XP3
 
 
 def test_load_family_file_weights():
-    kind, fam = load_family_file(f"{FIX}/quintic.json")
-    assert kind == "wps"
+    fam = load_family_file(f"{FIX}/quintic.json")
     assert fam.weights == (1, 1, 1, 1, 1)
     assert fam.parts == ((0, 1, 2, 3, 4),)
 
 
 def test_load_family_file_nefpart_style():
-    kind, fam = load_family_file(f"{FIX}/p2split.json")
-    assert kind == "wps"
+    fam = load_family_file(f"{FIX}/p2split.json")
     assert fam.weights == (1, 1, 1)
     assert fam.parts == ((0,), (1, 2))
+
+
+@pytest.mark.parametrize("text", [
+    '{"weights": [1, 1, 1, 1, 1], "parts": [[0, 1, 2, 3, 4]]}',
+    '{"dims": [4], "matrix": [[5]]}',
+    '{"dim": 4, "parts": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+    '[0, 0, 0, 1], [-1, -1, -1, -1]]]}',
+], ids=["weights", "matrix", "nef-style"])
+def test_every_spelling_loads_the_same_family(tmp_path, text):
+    # the loader returns the family alone; no caller learns the spelling
+    fam = load_family_file(write(tmp_path, "f.json", text))
+    assert fam == WpsFamily((1, 1, 1, 1, 1), [(0, 1, 2, 3, 4)])
+
+
+def test_nef_style_family_file_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(jsonio, "load_json", counted)
+    assert load_family_file(f"{FIX}/p2split.json").parts == ((0,), (1, 2))
+    assert len(calls) == 1
+    # the path form of the nef-partition loader still reads its file
+    assert load_nefpart_file(f"{FIX}/p2split.json")[0] == 2
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("points, index", [
+    ([(2, -1), (-1, -1), (-1, 2)], 3),
+    ([(1, 0), (-1, 2), (0, -2)], 2),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 2), (-2, -2, -2)], 2),
+    ([(1, 0), (-1, 0)], "infinite"),
+])
+def test_weights_from_points_refuses_a_proper_sublattice(points, index):
+    # each has the relation (1,...,1) but spans an index-m sublattice: a
+    # fake projective space P^d/Z_m, not P^d (the last spans only a line)
+    with pytest.raises(InputError, match=f"sublattice of index {index},"):
+        weights_from_points(points, "x")
+
+
+def test_nef_style_family_file_refuses_a_fake_weighted_space(tmp_path):
+    # P^2/Z_3: a valid nef partition of Cayley volume 9, relation (1,1,1),
+    # whose points span an index-3 sublattice; it is not the family P^2
+    text = '{"dim": 2, "parts": [[[2, -1], [-1, -1], [-1, 2]]]}'
+    path = write(tmp_path, "f.json", text)
+    dim, parts = load_nefpart_file(path)
+    assert check_nef_partition(parts, dim).delta.normalized_volume() == 9
+    with pytest.raises(InputError, match="sublattice of index 3"):
+        load_family_file(path)
 
 
 def test_load_family_file_bad(tmp_path):

@@ -608,8 +608,8 @@ def test_nef_style_family_file_builds_one_partition():
     # residue setup and all
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "p2split.json")
-    kind, fam = load_family_file(path)
-    assert kind == "wps"
+    fam = load_family_file(path)
+    assert fam == split_family()
     report = verify_family(fam, 8, P=monomial(3, (1, 0, 1)),
                            rng=random.Random(0))
     assert report["ok"] and len(report["points"]) == 2
